@@ -3,20 +3,22 @@
 The determinants are defined only up to units +- t^a p^b q^c, so values are
 stored as a canonical orbit representative plus the unit that was applied.
 
-Choosing the representative needs care because p-multiplication is not a
-plain exponent shift in the quotient ring (q*p = q*t mixes the parts, and
-the A-part is only defined modulo (1-t)(p-1)(p-t)).  Three specializations
-are class invariants of the A-part and transform cleanly under units:
+Elements are stored as their images psi1..psi4 under the four ring maps of
+``rings`` (p=1; t=1; p=t with q=1-t; p=t with q=t-1), and a unit
++- t^a p^b acts on them as plain exponent shifts:
 
-    A at p=1   -- picks up t^a        (fixes a when nonzero)
-    A at t=1   -- picks up p^b        (fixes b when nonzero)
-    A at p=t   -- picks up t^(a+b)    (as does the q-part B)
+    psi1 -- picks up t^a            (fixes a when nonzero)
+    psi2 -- picks up p^b            (fixes b when nonzero)
+    psi3, psi4 -- pick up t^(a+b)   (fix a+b when either is nonzero)
 
-Whenever one of the shifts is left free by vanishing observables, the
-corresponding unit action is trivial on the element, so pinning the free
-exponent to zero still yields a canonical orbit representative: the result
-satisfies canonical(u*x) == canonical(x) exactly.  The sign is fixed by
-making the leading coefficient positive in the fixed monomial order.
+Normalization takes a and b from the lowest exponents of psi1 and psi2 and,
+where one of those images vanishes, the missing shift from the lowest
+exponent of psi3 and psi4.  Whenever a shift is left free by vanishing
+images, the corresponding unit action is trivial on the element, so pinning
+the free exponent to zero still yields a canonical orbit representative: the
+result satisfies canonical(u*x) == canonical(x) exactly.  The sign is fixed
+by making the leading coefficient of the rendered form positive in the fixed
+monomial order.
 """
 
 from __future__ import annotations
@@ -80,17 +82,11 @@ def normalize(elem):
     """
     if elem.is_zero:
         return elem, UnitRecord(1, 0, 0)
-    o1 = elem.a_at_t1()
-    o2 = elem.a_at_p1()
-    o3 = elem.a_at_pt()
-    alpha = None if o2.is_zero else -_min_exp(o2, "t")
-    beta = None if o1.is_zero else -_min_exp(o1, "p")
-    mins = []
-    if not o3.is_zero:
-        mins.append(_min_exp(o3, "t"))
-    if not elem.b.is_zero:
-        mins.append(_min_exp(elem.b, "t"))
-    delta = None if not mins else -min(mins)
+    psi1, psi2, psi3, psi4 = elem.parts
+    alpha = None if psi1.is_zero else -_min_exp(psi1, "t")
+    beta = None if psi2.is_zero else -_min_exp(psi2, "p")
+    mins = [_min_exp(x, "t") for x in (psi3, psi4) if not x.is_zero]
+    delta = -min(mins) if mins else None
     if alpha is None and beta is None:
         alpha, beta = 0, (delta if delta is not None else 0)
     elif alpha is None:

@@ -25,9 +25,7 @@ class ChordData:
     counts: dict          # crossing -> number of interleaving chords
 
     def interleave(self, c1, c2):
-        a, b = sorted(self.endpoints[c1])
-        x, y = self.endpoints[c2]
-        return (a < x < b) != (a < y < b)
+        return _interleave(self.endpoints[c1], self.endpoints[c2])
 
 
 def _chords(tokens):
@@ -65,15 +63,12 @@ def parity_map(d):
     return gaussian_parity(chord_data(d))
 
 
-def hierarchy_types(d, depth=2):
+def hierarchy_types(d):
     """Crossing -> type in {0, 1, 2}.
 
     Odd crossings get type 0.  Among the rest, interlacement is recomputed
     with the odd chords deleted: odd survivors get type 1, even ones type 2.
-    ``depth`` is reserved; only the three-level hierarchy is implemented.
     """
-    if depth > 2:
-        raise NotImplementedError("only the three-level hierarchy is implemented")
     cd = chord_data(d)
     par = gaussian_parity(cd)
     types = {c: 0 for c, pv in par.items() if pv == ODD}

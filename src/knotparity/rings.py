@@ -5,10 +5,9 @@ Three layers live here:
 * ``LaurentPoly`` -- sparse integer-coefficient multivariate Laurent
   polynomials.  Python integers never overflow, which the exactness of
   everything downstream depends on.
-* ``QuotientRing`` / ``QElement`` -- canonical normal forms in the quotient
-  rings used by the surface invariant (tag ``"G"``, variables
-  t, p, q, x1..x2g) and the virtual-knot invariant (tag ``"Rprime"``,
-  variables t, p, q, s).  Both rings impose
+* ``QuotientRing`` / ``QElement`` -- the quotient rings used by the surface
+  invariant (tag ``"G"``, variables t, p, q, x1..x2g) and the virtual-knot
+  invariant (tag ``"Rprime"``, variables t, p, q, s).  Both rings impose
 
       q*(p - t) = 0          q*q = (1 - t)*(1 - p)
 
@@ -18,24 +17,36 @@ Three layers live here:
   fixpoint; no confluence or canonicity is claimed for it, and none is needed
   by its only consumer (the presentation-matrix export).
 
-Canonical form in the quotient rings.  The two relations let every element be
-written A + B*q where B has p eliminated (q*p rewrites to q*t).  That pair is
-*not* yet canonical: multiplying the first relation by q and subtracting the
-second times (p - t) forces
+The quotient rings by their specializations.  The two relations let every
+element be written A + B*q with B free of p (q*p = q*t), and they force
 
     (1 - t)*(p - 1)*(p - t) = 0
 
-among q-free elements, so distinct A's can represent equal ring elements.
-Writing m = (p - 1)*(p - t) = p^2 - (1+t)*p + t, which is monic in p with
-unit constant term, every A divides as A = Q*m + R with deg_p(R) <= 1, and
-the class of A modulo (1-t)*m is exactly the pair (R, Q mod (1-t)).  The
-canonical representative stored here is therefore
+among q-free elements, so A matters only modulo that product.  Four ring
+maps to Laurent rings respect both relations:
 
-    A_can = (Q at t=1)*m + R
+    psi1: p=1, q=0       A + B*q  ->  A(t, 1)
+    psi2: t=1, q=0       A + B*q  ->  A(1, p)
+    psi3: p=t, q=1-t     A + B*q  ->  A(t, t) + (1-t)*B
+    psi4: p=t, q=t-1     A + B*q  ->  A(t, t) - (1-t)*B
 
-which is unique per ring element; structural equality of (A_can, B) pairs is
-ring equality.  Determinants are computed division-free (the rings have zero
-divisors, so no elimination with division is sound).
+and together they are injective: if all four images vanish, then
+psi3 - psi4 = 2(1-t)B gives B = 0, and A vanishes modulo each of 1-t, p-1 and
+p-t, hence modulo their product.  A ``QElement`` stores the four images, so
+sums, products, equality and unit multiples act per component and nothing is
+ever rewritten.  Each image lives in a Laurent ring over an integral domain.
+
+For rendering, the canonical pair is rebuilt from the images.  With
+m = (p - 1)*(p - t), monic in p with unit constant term, every A divides as
+Q*m + R with deg_p(R) <= 1, and the class of A modulo (1-t)*m is the pair
+(R, Q mod (1-t)); the canonical representative is
+
+    A_can = (Q at t=1)*m + R.
+
+B, R = r0 + r1*p and Q at t=1 come back from the images by exact division by
+2, by t-1 and by (p-1)^2 (see ``QElement.canonical_pair``).  Determinants
+are computed division-free (the rings have zero divisors, so no elimination
+with division is sound).
 """
 
 from __future__ import annotations
@@ -176,23 +187,7 @@ class LaurentPoly:
             {tuple(x + d for x, d in zip(k, delta)): v for k, v in self.terms.items()},
         )
 
-    # -- substitutions (the few monomial ones the quotient structure needs)
-
-    def subs_to_var(self, src, dst):
-        """Replace src^k by dst^k (exponent transfer, e.g. p -> t)."""
-        i, j = self.vars.index(src), self.vars.index(dst)
-        r = {}
-        for k, v in self.terms.items():
-            key = list(k)
-            key[j] += key[i]
-            key[i] = 0
-            key = tuple(key)
-            nv = r.get(key, 0) + v
-            if nv:
-                r[key] = nv
-            elif key in r:
-                del r[key]
-        return LaurentPoly(self.vars, r)
+    # -- substitutions
 
     def subs_one(self, var):
         """Set var = 1."""
@@ -222,18 +217,6 @@ class LaurentPoly:
             elif key in r:
                 del r[key]
         return LaurentPoly(self.vars, r)
-
-    def extend_vars(self, vars):
-        """Reinterpret over a superset of variables."""
-        mapping = [vars.index(v) for v in self.vars]
-        n = len(vars)
-        r = {}
-        for k, v in self.terms.items():
-            key = [0] * n
-            for pos, e in zip(mapping, k):
-                key[pos] = e
-            r[tuple(key)] = v
-        return LaurentPoly(vars, r)
 
     # -- ordering / rendering
 
@@ -285,34 +268,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.render()!r})"
 
 
-def divides_exactly(divisor, dividend):
-    """Exact-division test of Laurent polynomials over the same variables.
-
-    Returns True iff dividend = h * divisor for some Laurent polynomial h.
-    The divisor's leading coefficient must be a unit (+-1), which holds for
-    every divisor this package uses.
-    """
-    if dividend.is_zero:
-        return True
-    if divisor.is_zero:
-        return False
-    lead_exp, lead_coef = divisor.sorted_terms()[0]
-    if lead_coef not in (1, -1):
-        raise ValueError("divisor must have unit leading coefficient")
-    rem = dividend
-    # each step cancels the graded-lex leading term, so a true multiple
-    # terminates after quotient-size many steps; Laurent monomials are not
-    # well-ordered, so non-multiples are cut off by the iteration bound
-    for _ in range(10000):
-        if rem.is_zero:
-            return True
-        top_exp, top_coef = rem.sorted_terms()[0]
-        delta = {v: e - l for v, e, l in zip(rem.vars, top_exp, lead_exp)}
-        factor = LaurentPoly.monomial(rem.vars, top_coef * lead_coef, **delta)
-        rem = rem - factor * divisor
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Quotient rings G and R'
 
@@ -338,13 +293,10 @@ class QuotientRing:
         return ("t", "p", "q") + self.extras
 
     def zero(self):
-        return QElement(self, LaurentPoly.zero(self.vars), LaurentPoly.zero(self.vars))
+        return QElement(self, (LaurentPoly.zero(self.vars),) * 4)
 
     def one(self):
-        return QElement(self, LaurentPoly.const(self.vars, 1), LaurentPoly.zero(self.vars))
-
-    def a_poly(self, coef=1, **exps):
-        return LaurentPoly.monomial(self.vars, coef, **exps)
+        return QElement(self, (LaurentPoly.const(self.vars, 1),) * 4)
 
     def element(self, coef=1, q=0, **exps):
         """Monomial element coef * t^.. p^.. q^q * extras^.."""
@@ -352,36 +304,38 @@ class QuotientRing:
         return self.from_raw(raw)
 
     def from_raw(self, raw):
-        """Normalize a polynomial over ``full_vars`` into the quotient."""
+        """Image in the quotient of a polynomial over ``full_vars``.
+
+        A term c*t^a*p^b*q^k*x^e goes to c*t^a*x^e and c*p^b*x^e under psi1
+        and psi2 when k = 0 (to 0 otherwise), and to c*t^(a+b)*x^e times
+        (1-t)^k under psi3 and (t-1)^k under psi4.
+        """
         if raw.vars != self.full_vars:
             raise VariableSetMismatch(f"{raw.vars} vs {self.full_vars}")
-        qi = raw.vars.index("q")
-        a = LaurentPoly.zero(self.vars)
-        bq = LaurentPoly.zero(self.vars)
-        c = _one_minus_t_one_minus_p(self.vars)
-        for exps, coef in raw.terms.items():
-            k = exps[qi]
+        psi1, psi2, by_q = {}, {}, {}
+        for (te, pe, k, *rest), coef in raw.terms.items():
             if k < 0:
                 raise ValueError("q is not invertible")
-            stripped = LaurentPoly(
-                self.vars, {exps[:qi] + exps[qi + 1 :]: coef}
-            )
-            piece = stripped * (c ** (k // 2))
-            if k % 2 == 0:
-                a = a + piece
-            else:
-                bq = bq + piece
-        return QElement(self, a, bq.subs_to_var("p", "t"))
+            rest = tuple(rest)
+            if k == 0:
+                _accumulate(psi1, (te, 0) + rest, coef)
+                _accumulate(psi2, (0, pe) + rest, coef)
+            _accumulate(by_q.setdefault(k, {}), (te + pe, 0) + rest, coef)
+        vars = self.vars
+        one, t = LaurentPoly.const(vars, 1), LaurentPoly.monomial(vars, 1, t=1)
+        psi3 = psi4 = LaurentPoly.zero(vars)
+        for k, terms in by_q.items():
+            at_pt = LaurentPoly(vars, terms)
+            psi3 = psi3 + at_pt * (one - t) ** k
+            psi4 = psi4 + at_pt * (t - one) ** k
+        return QElement(self, (LaurentPoly(vars, psi1), LaurentPoly(vars, psi2), psi3, psi4))
 
     def __repr__(self):
         return f"QuotientRing({self.tag})"
 
 
-def _one_minus_t_one_minus_p(vars):
-    one = LaurentPoly.const(vars, 1)
-    t = LaurentPoly.monomial(vars, 1, t=1)
-    p = LaurentPoly.monomial(vars, 1, p=1)
-    return (one - t) * (one - p)
+def _accumulate(terms, key, coef):
+    terms[key] = terms.get(key, 0) + coef
 
 
 def g_ring(genus):
@@ -394,99 +348,59 @@ def rprime_ring():
     return QuotientRing("Rprime", ("s",))
 
 
-def _divide_by_m(a):
-    """Write a = Q*m + R with deg_p(R) in {0, 1}; m = p^2 - (1+t)p + t.
+def _div_x_minus_1(f, var):
+    """Exact quotient f / (var - 1); raises ValueError when not exact.
 
-    Returns (Q, R).  Works on Laurent input: monomials with p-exponent >= 2
-    reduce top-down via p^2 -> (1+t)p - t, monomials with negative p-exponent
-    reduce via p^-1 -> (1+t)/t - p/t.
+    Synthetic division on each column of terms that differ only in their
+    var-exponent: the quotient coefficient at var^(e-1) is the sum of the
+    coefficients of f at var^e and above, so the work is bounded by the
+    column's degree span.  The remainder is the column sum, f at var = 1.
     """
-    vars = a.vars
-    pi = vars.index("p")
-    q_acc = LaurentPoly.zero(vars)
-    work = dict(a.terms)
-
-    def add(d, key, val):
-        nv = d.get(key, 0) + val
-        if nv:
-            d[key] = nv
-        elif key in d:
-            del d[key]
-
-    progress = True
-    while progress:
-        progress = False
-        for key in list(work.keys()):
-            coef = work.get(key, 0)
-            if not coef:
-                continue
-            pe = key[pi]
-            if pe >= 2:
-                # c*p^e = c*p^(e-2)*(m + (1+t)p - t)
-                del work[key]
-                base = list(key)
-                base[pi] = pe - 2
-                q_acc = q_acc + LaurentPoly(vars, {tuple(base): coef})
-                k1 = list(base)
-                k1[pi] += 1
-                add(work, tuple(k1), coef)  # p^(e-1)
-                k2 = list(base)
-                k2[pi] += 1
-                k2[vars.index("t")] += 1
-                add(work, tuple(k2), coef)  # t*p^(e-1)
-                k3 = list(base)
-                k3[vars.index("t")] += 1
-                add(work, tuple(k3), -coef)  # -t*p^(e-2)
-                progress = True
-            elif pe <= -1:
-                # c*p^e = c*t^-1*p^(e+1)*(p^-1*m) + c*t^-1*(1+t)*p^(e+1) - c*t^-1*p^(e+2)
-                del work[key]
-                ti = vars.index("t")
-                base = list(key)
-                base[ti] -= 1
-                q_acc = q_acc + LaurentPoly(vars, {tuple(base): coef})  # t^-1 p^e
-                k1 = list(key)
-                k1[pi] = pe + 1
-                k1[ti] -= 1
-                add(work, tuple(k1), coef)
-                k2 = list(k1)
-                k2[ti] += 1
-                add(work, tuple(k2), coef)  # (1+t) part
-                k3 = list(key)
-                k3[pi] = pe + 2
-                k3[ti] -= 1
-                add(work, tuple(k3), -coef)
-                progress = True
-    return q_acc, LaurentPoly(vars, work)
+    i = f.vars.index(var)
+    columns = {}
+    for k, coef in f.terms.items():
+        columns.setdefault(k[:i] + k[i + 1 :], {})[k[i]] = coef
+    quot = {}
+    for rest, col in columns.items():
+        lo, hi = min(col), max(col)
+        acc = 0
+        for e in range(hi, lo, -1):
+            acc += col.get(e, 0)
+            if acc:
+                quot[rest[:i] + (e - 1,) + rest[i:]] = acc
+        if acc + col[lo]:
+            raise ValueError("division is not exact")
+    return LaurentPoly(f.vars, quot)
 
 
-def _m_poly(vars):
-    p2 = LaurentPoly.monomial(vars, 1, p=2)
-    p = LaurentPoly.monomial(vars, 1, p=1)
-    tp = LaurentPoly.monomial(vars, 1, t=1, p=1)
-    t = LaurentPoly.monomial(vars, 1, t=1)
-    return p2 - p - tp + t
-
-
-def _canonical_a(a):
-    """Canonical representative of a's class modulo (1-t)*(p-1)*(p-t)."""
-    q, r = _divide_by_m(a)
-    return q.subs_one("t") * _m_poly(a.vars) + r
+def _halve(f):
+    if any(c % 2 for c in f.terms.values()):
+        raise ValueError("division is not exact")
+    return LaurentPoly(f.vars, {k: c // 2 for k, c in f.terms.items()})
 
 
 class QElement:
-    """Canonical element A + B*q of a quotient ring.
+    """Element of a quotient ring, stored as its images under four ring maps.
 
-    Invariants: B is p-free; A is the canonical representative described in
-    the module docstring.  Structural equality is ring equality.
+    ``parts`` is (psi1, psi2, psi3, psi4), Laurent polynomials over the
+    ring's ``vars`` with
+
+        psi1: p=1, q=0      -> A(t, 1)             (p-free)
+        psi2: t=1, q=0      -> A(1, p)             (t-free)
+        psi3: p=t, q=1-t    -> A(t, t) + (1-t)*B   (p-free)
+        psi4: p=t, q=t-1    -> A(t, t) - (1-t)*B   (p-free)
+
+    for the element A + B*q.  The maps are ring homomorphisms and jointly
+    injective (see the module docstring), so sums, products and equality
+    act per component.  The canonical pair (A, B) that ``render`` prints is
+    rebuilt from the parts on demand by ``canonical_pair``.
     """
 
-    __slots__ = ("ring", "a", "b")
+    __slots__ = ("ring", "parts")
 
-    def __init__(self, ring, a, b, _canonical=False):
+    def __init__(self, ring, parts):
         self.ring = ring
-        self.a = a if _canonical else _canonical_a(a)
-        self.b = b
+        self.parts = parts
 
     def _check(self, other):
         if not isinstance(other, QElement) or other.ring != self.ring:
@@ -494,79 +408,90 @@ class QElement:
 
     @property
     def is_zero(self):
-        return self.a.is_zero and self.b.is_zero
+        return all(x.is_zero for x in self.parts)
 
     def __add__(self, other):
         self._check(other)
-        # sums of canonical forms stay canonical (division is linear)
-        return QElement(self.ring, self.a + other.a, self.b + other.b, _canonical=True)
+        return QElement(self.ring, tuple(x + y for x, y in zip(self.parts, other.parts)))
 
     def __neg__(self):
-        return QElement(self.ring, -self.a, -self.b, _canonical=True)
+        return QElement(self.ring, tuple(-x for x in self.parts))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        c = _one_minus_t_one_minus_p(self.a.vars)
-        a = self.a * other.a + self.b * other.b * c
-        abar = self.a.subs_to_var("p", "t")
-        obar = other.a.subs_to_var("p", "t")
-        b = abar * other.b + obar * self.b
-        return QElement(self.ring, a, b)
-
-    def __pow__(self, n):
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return QElement(self.ring, tuple(x * y for x, y in zip(self.parts, other.parts)))
 
     def __eq__(self, other):
         return (
             isinstance(other, QElement)
             and self.ring == other.ring
-            and self.a == other.a
-            and self.b == other.b
+            and self.parts == other.parts
         )
 
     __hash__ = None
 
-    # observables used by unit normalization; all are class invariants
-    def a_at_t1(self):
-        return self.a.subs_one("t")
-
-    def a_at_p1(self):
-        return self.a.subs_one("p")
-
-    def a_at_pt(self):
-        return self.a.subs_to_var("p", "t")
-
     def times_unit(self, sign, t_exp, p_exp):
-        u = LaurentPoly.monomial(self.a.vars, sign, t=t_exp, p=p_exp)
-        return QElement(
-            self.ring, self.a * u, self.b * u.subs_to_var("p", "t")
+        """Multiply by sign * t^t_exp * p^p_exp."""
+        vars = self.ring.vars
+        t_ab = LaurentPoly.monomial(vars, sign, t=t_exp + p_exp)
+        units = (
+            LaurentPoly.monomial(vars, sign, t=t_exp),
+            LaurentPoly.monomial(vars, sign, p=p_exp),
+            t_ab,
+            t_ab,
         )
+        return QElement(self.ring, tuple(x * u for x, u in zip(self.parts, units)))
 
     def times_q(self):
-        """Multiply by q: (A + Bq)*q = B*c + (A at p=t)*q."""
-        c = _one_minus_t_one_minus_p(self.a.vars)
-        return QElement(self.ring, self.b * c, self.a.subs_to_var("p", "t"))
+        """Multiply by q, which psi1..psi4 send to 0, 0, 1-t and t-1."""
+        _, _, psi3, psi4 = self.parts
+        vars = self.ring.vars
+        one_minus_t = LaurentPoly.const(vars, 1) - LaurentPoly.monomial(vars, 1, t=1)
+        zero = LaurentPoly.zero(vars)
+        return QElement(self.ring, (zero, zero, psi3 * one_minus_t, -psi4 * one_minus_t))
+
+    def canonical_pair(self):
+        """The canonical (A, B) of A + B*q, rebuilt from the four parts.
+
+        With A = Q1*(p-1)*(p-t) + r0 + r1*p (the form described in the
+        module docstring):
+
+            B      = (psi4 - psi3) / (2*(t-1))
+            r1     = ((psi3 + psi4)/2 - psi1) / (t-1),    r0 = psi1 - r1
+            Q1     = (psi2 - r0(t=1) - r1(t=1)*p) / (p-1)^2
+        """
+        psi1, psi2, psi3, psi4 = self.parts
+        vars = self.ring.vars
+        one = LaurentPoly.const(vars, 1)
+        t, p = LaurentPoly.monomial(vars, 1, t=1), LaurentPoly.monomial(vars, 1, p=1)
+        b = _div_x_minus_1(_halve(psi4 - psi3), "t")
+        r1 = _div_x_minus_1(_halve(psi3 + psi4) - psi1, "t")
+        r0 = psi1 - r1
+        rest = psi2 - r0.subs_one("t") - r1.subs_one("t") * p
+        q1 = _div_x_minus_1(_div_x_minus_1(rest, "p"), "p")
+        return q1 * (p - one) * (p - t) + r0 + r1 * p, b
+
+    @property
+    def a(self):
+        return self.canonical_pair()[0]
+
+    @property
+    def b(self):
+        return self.canonical_pair()[1]
 
     def to_full_poly(self):
-        """Embed back into the free Laurent ring with explicit q."""
+        """Embed the canonical pair back into the free Laurent ring with explicit q."""
+        a, b = self.canonical_pair()
         full = self.ring.full_vars
         qi = full.index("q")
         terms = {}
-        for k, v in self.a.terms.items():
+        for k, v in a.terms.items():
             terms[k[:qi] + (0,) + k[qi:]] = v
-        for k, v in self.b.terms.items():
-            key = k[:qi] + (1,) + k[qi:]
-            terms[key] = terms.get(key, 0) + v
+        for k, v in b.terms.items():
+            terms[k[:qi] + (1,) + k[qi:]] = v
         return LaurentPoly(full, terms)
 
     def render(self):
@@ -574,11 +499,6 @@ class QElement:
 
     def __repr__(self):
         return f"<{self.ring.tag}: {self.render()}>"
-
-
-def g_normalize(ring, raw):
-    """Normal form of a raw polynomial (over ring.full_vars) in the quotient."""
-    return ring.from_raw(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +603,7 @@ def _raw_reduce_poly(poly):
         remainder = f.subs_inverse("r", "s")
         diff = f - remainder
         if not diff.is_zero:
-            g = _exact_div(diff, rs - one)
+            g = _div_rs_minus_1(diff)
             new = LaurentPoly(vars, rest)
             new = new + (rs - one) * (one - t) * g
             qshift = {k[:qi] + (1,) + k[qi + 1 :]: v for k, v in remainder.terms.items()}
@@ -693,23 +613,21 @@ def _raw_reduce_poly(poly):
     return cur
 
 
-def _exact_div(dividend, divisor):
-    """Exact division, divisor with unit leading coefficient."""
-    vars = dividend.vars
-    lead_exp, lead_coef = divisor.sorted_terms()[0]
-    quot = LaurentPoly.zero(vars)
-    rem = dividend
-    for _ in range(100000):
-        if rem.is_zero:
-            return quot
-        top_exp, top_coef = rem.sorted_terms()[0]
-        delta = {v: e - l for v, e, l in zip(vars, top_exp, lead_exp)}
-        if top_coef % lead_coef:
-            raise ValueError("division is not exact")
-        factor = LaurentPoly.monomial(vars, top_coef // lead_coef, **delta)
-        quot = quot + factor
-        rem = rem - factor * divisor
-    raise ValueError("division did not terminate")
+def _div_rs_minus_1(f):
+    """Exact quotient f / (rs - 1); raises ValueError when not exact.
+
+    With u = r*s, r^a*s^b = u^a*s^(b-a) and rs - 1 = u - 1: shear the
+    exponents into (u, s), divide by u - 1 in r's slot, and shear back.
+    """
+    si, ri = RAW_VARS.index("s"), RAW_VARS.index("r")
+
+    def shear(poly, sign):
+        return LaurentPoly(
+            RAW_VARS,
+            {k[:si] + (k[si] + sign * k[ri],) + k[si + 1 :]: v for k, v in poly.terms.items()},
+        )
+
+    return shear(_div_x_minus_1(shear(f, -1), "r"), 1)
 
 
 class RawElement:

@@ -26,7 +26,6 @@ from knotparity.rings import (
     LaurentPoly,
     cofactor_det,
     det,
-    divides_exactly,
     g_ring,
     rprime_ring,
 )
@@ -34,6 +33,7 @@ from knotparity.rings import (
 from test_invariant import S_112, S_113BAR
 from test_matrix import _expected_m_112, _expected_m_113bar
 from test_rings import (
+    divides_exactly,
     naive_fixpoint_pair,
     rand_elem,
     rand_matrix_elem,

@@ -8,10 +8,12 @@ from knotparity.rings import (
     LaurentPoly,
     NonSquare,
     RawRing,
+    RAW_VARS,
     VariableSetMismatch,
+    _div_rs_minus_1,
+    _div_x_minus_1,
     cofactor_det,
     det,
-    divides_exactly,
     g_ring,
     r_reduce,
     rprime_ring,
@@ -84,6 +86,29 @@ def test_poly_variable_set_mismatch():
     b = LaurentPoly.const(("t", "p"), 1)
     with pytest.raises(VariableSetMismatch):
         a + b
+
+
+def test_exact_linear_division():
+    vars = ("t", "p", "x1")
+    one = LaurentPoly.const(vars, 1)
+    t = LaurentPoly.monomial(vars, 1, t=1)
+    h = LaurentPoly(vars, {(-3, 1, 0): 2, (4, 0, -1): -1, (0, 0, 0): 5})
+    assert _div_x_minus_1((t - one) * h, "t") == h
+    # the quotient fills the exponent gap: (t^5 - 1)/(t - 1) = t^4 + ... + 1
+    t5 = LaurentPoly.monomial(vars, 1, t=5)
+    assert _div_x_minus_1(t5 - one, "t") == sum(
+        (LaurentPoly.monomial(vars, 1, t=e) for e in range(5)), LaurentPoly.zero(vars)
+    )
+    with pytest.raises(ValueError, match="not exact"):
+        _div_x_minus_1((t - one) * h + t5, "t")
+    with pytest.raises(ValueError, match="not exact"):
+        _div_x_minus_1(t5, "p")
+    rs = LaurentPoly.monomial(RAW_VARS, 1, r=1, s=1)
+    g = LaurentPoly(RAW_VARS, {(1, 0, 1, -2, 3, 0): 4, (0, 2, 0, 1, -1, 1): -1})
+    raw_one = LaurentPoly.const(RAW_VARS, 1)
+    assert _div_rs_minus_1((rs - raw_one) * g) == g
+    with pytest.raises(ValueError, match="not exact"):
+        _div_rs_minus_1((rs - raw_one) * g + rs)
 
 
 # --- quotient rings ----------------------------------------------------------
@@ -174,6 +199,53 @@ def naive_fixpoint_pair(ring, raw):
         (a if key[qi] == 0 else b)[stripped] = coef
     av = vars[:qi] + vars[qi + 1 :]
     return LaurentPoly(av, a), LaurentPoly(av, b)
+
+
+def divides_exactly(divisor, dividend):
+    """Exact-division test of Laurent polynomials over the same variables.
+
+    Returns True iff dividend = h * divisor for some Laurent polynomial h.
+    The divisor's leading coefficient must be a unit (+-1), which holds for
+    every divisor used here.
+    """
+    if dividend.is_zero:
+        return True
+    if divisor.is_zero:
+        return False
+    lead_exp, lead_coef = divisor.sorted_terms()[0]
+    if lead_coef not in (1, -1):
+        raise ValueError("divisor must have unit leading coefficient")
+    # over an integral domain the exponent range of h in each variable is
+    # that of the dividend minus that of the divisor; each step cancels the
+    # graded-lex leading term, so the quotient monomials strictly decrease
+    # and, for a true multiple, are exactly the terms of h
+    box = []
+    for v in dividend.vars:
+        (f_lo, f_hi), (d_lo, d_hi) = dividend.exponent_range(v), divisor.exponent_range(v)
+        box.append((f_lo - d_lo, f_hi - d_hi))
+    rem = dividend
+    while not rem.is_zero:
+        top_exp, top_coef = rem.sorted_terms()[0]
+        delta = [e - l for e, l in zip(top_exp, lead_exp)]
+        if any(not lo <= d <= hi for d, (lo, hi) in zip(delta, box)):
+            return False
+        factor = LaurentPoly(rem.vars, {tuple(delta): top_coef * lead_coef})
+        rem = rem - factor * divisor
+    return True
+
+
+def test_divides_exactly():
+    vars = ("t", "p")
+    uc = uc_poly(vars)
+    h = LaurentPoly(vars, {(-2, 1): 3, (1, -3): -1, (0, 0): 2})
+    assert divides_exactly(uc, uc * h)
+    assert divides_exactly(uc, LaurentPoly.zero(vars))
+    assert not divides_exactly(uc, uc * h + LaurentPoly.const(vars, 1))
+    assert not divides_exactly(uc, LaurentPoly.monomial(vars, 1, t=-5, p=7))
+    # (1-t)(p-1) alone is not a multiple, though its t=1 and p=1 values vanish
+    one = LaurentPoly.const(vars, 1)
+    t, p = LaurentPoly.monomial(vars, 1, t=1), LaurentPoly.monomial(vars, 1, p=1)
+    assert not divides_exactly(uc, (one - t) * (p - one) * h)
 
 
 def uc_poly(vars):
