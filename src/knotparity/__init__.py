@@ -30,7 +30,6 @@ from .rings import (
     cofactor_det,
     det,
     g_ring,
-    r_reduce,
     rprime_ring,
 )
 
@@ -69,6 +68,5 @@ __all__ = [
     "cofactor_det",
     "det",
     "g_ring",
-    "r_reduce",
     "rprime_ring",
 ]

@@ -107,24 +107,20 @@ class Diagram:
                 )
             if passages[0].sign != passages[1].sign:
                 raise SignMismatch(f"{self.name}: crossing {cid} signs disagree")
+        # crossing id -> sign, in order of first appearance; a plain attribute,
+        # not a field, so equality and hashing still see only the fields
+        object.__setattr__(self, "_signs", {cid: ps[0].sign for cid, ps in seen.items()})
 
     @property
     def crossings(self):
-        out = []
-        for tok in self.tokens:
-            if isinstance(tok, Passage) and tok.crossing not in out:
-                out.append(tok.crossing)
-        return out
+        return list(self._signs)
 
     @property
     def vertex_ids(self):
         return [tok.vid for tok in self.tokens if isinstance(tok, Vertex)]
 
     def sign_of(self, crossing):
-        for tok in self.tokens:
-            if isinstance(tok, Passage) and tok.crossing == crossing:
-                return tok.sign
-        raise KeyError(crossing)
+        return self._signs[crossing]
 
     def rotated(self, k):
         """Basepoint moved k tokens forward."""

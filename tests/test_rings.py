@@ -7,22 +7,20 @@ from hypothesis import strategies as st
 from knotparity.rings import (
     LaurentPoly,
     NonSquare,
-    RawRing,
     RAW_VARS,
     VariableSetMismatch,
-    _div_rs_minus_1,
     _div_x_minus_1,
     cofactor_det,
     det,
     g_ring,
-    r_reduce,
     rprime_ring,
 )
+from rraw_oracle import ReducingRawRing, div_rs_minus_1, r_reduce
 
 
 G = g_ring(1)
 RP = rprime_ring()
-RR = RawRing()
+RR = ReducingRawRing()
 
 
 def rand_raw(rng, ring, terms=4, qmax=2):
@@ -106,9 +104,9 @@ def test_exact_linear_division():
     rs = LaurentPoly.monomial(RAW_VARS, 1, r=1, s=1)
     g = LaurentPoly(RAW_VARS, {(1, 0, 1, -2, 3, 0): 4, (0, 2, 0, 1, -1, 1): -1})
     raw_one = LaurentPoly.const(RAW_VARS, 1)
-    assert _div_rs_minus_1((rs - raw_one) * g) == g
+    assert div_rs_minus_1((rs - raw_one) * g) == g
     with pytest.raises(ValueError, match="not exact"):
-        _div_rs_minus_1((rs - raw_one) * g + rs)
+        div_rs_minus_1((rs - raw_one) * g + rs)
 
 
 # --- quotient rings ----------------------------------------------------------
