@@ -27,7 +27,6 @@ from .rings import (
     LaurentPoly,
     QuotientRing,
     RawRing,
-    cofactor_det,
     det,
     g_ring,
     rprime_ring,
@@ -65,7 +64,6 @@ __all__ = [
     "LaurentPoly",
     "QuotientRing",
     "RawRing",
-    "cofactor_det",
     "det",
     "g_ring",
     "rprime_ring",

@@ -57,16 +57,17 @@ class InvariantMatrix:
         return out
 
 
-def _role_coeffs(ring, even_like, sign):
-    one = ring.one()
-    t = ring.element(t=1)
-    if even_like:
-        out_pos, in_pos, over = -one, t, one - t
-    else:
-        out_pos, in_pos, over = -one, ring.element(p=1), ring.element(q=1)
-    if sign > 0:
-        return out_pos, in_pos, over
-    return in_pos, out_pos, over
+def _role_table(ring):
+    """(even_like, sign > 0) -> {role: coefficient}, by the rules in the module docstring."""
+    one, t = ring.one(), ring.element(t=1)
+    table = {}
+    for even_like, in_pos, over in (
+        (True, t, one - t),
+        (False, ring.element(p=1), ring.element(q=1)),
+    ):
+        table[even_like, True] = {"out": -one, "in": in_pos, "over": over}
+        table[even_like, False] = {"out": in_pos, "in": -one, "over": over}
+    return table
 
 
 def build_M(d, par):
@@ -94,23 +95,21 @@ def build_M(d, par):
     ridx = {k: i for i, k in enumerate(row_keys)}
     n = len(row_keys)
     grid = [[ring.zero() for _ in range(n)] for _ in range(n)]
-
-    def label_elem(label):
-        exps = {f"x{i + 1}": e for i, e in enumerate(label) if e}
-        return ring.element(1, **exps)
-
+    roles = _role_table(ring)
+    vertex_roles = {"out": -ring.one(), "in": ring.one()}
+    label_elems = {}
     for arc in table.arcs:
         j = cidx[(arc.origin_kind, arc.origin)]
         for inc in arc.incidences:
             i = ridx[(inc.site_kind, inc.site)]
             if inc.site_kind == "vertex":
-                coef = -ring.one() if inc.role == "out" else ring.one()
+                coef = vertex_roles[inc.role]
             else:
-                out_c, in_c, over_c = _role_coeffs(
-                    ring, par[inc.site] == EVEN, d.sign_of(inc.site)
-                )
-                coef = {"out": out_c, "in": in_c, "over": over_c}[inc.role]
-            grid[i][j] = grid[i][j] + coef * label_elem(inc.label)
+                coef = roles[par[inc.site] == EVEN, d.sign_of(inc.site) > 0][inc.role]
+            if inc.label not in label_elems:
+                exps = {f"x{k + 1}": e for k, e in enumerate(inc.label) if e}
+                label_elems[inc.label] = ring.element(1, **exps)
+            grid[i][j] = grid[i][j] + coef * label_elems[inc.label]
     return InvariantMatrix(
         "G", ring, tuple(tuple(row) for row in grid), row_keys, col_keys
     )
@@ -129,15 +128,16 @@ def build_Npp(d, types):
     idx = {c: i for i, c in enumerate(keep)}
     n = len(keep)
     grid = [[ring.zero() for _ in range(n)] for _ in range(n)]
+    roles = _role_table(ring)
+    label_elems = {}
     for arc in table.arcs:
         j = idx[arc.origin]
         for inc in arc.incidences:
             i = idx[inc.crossing]
-            out_c, in_c, over_c = _role_coeffs(
-                ring, types[inc.crossing] == 2, d.sign_of(inc.crossing)
-            )
-            coef = {"out": out_c, "in": in_c, "over": over_c}[inc.role]
-            grid[i][j] = grid[i][j] + coef * ring.element(1, s=inc.s_exp)
+            coef = roles[types[inc.crossing] == 2, d.sign_of(inc.crossing) > 0][inc.role]
+            if inc.s_exp not in label_elems:
+                label_elems[inc.s_exp] = ring.element(1, s=inc.s_exp)
+            grid[i][j] = grid[i][j] + coef * label_elems[inc.s_exp]
     return InvariantMatrix(
         "Rprime",
         ring,
@@ -212,14 +212,15 @@ def build_N_presentation(d, types):
 
     rows = []
     row_keys = []
+    roles = _role_table(ring)
     for c in sorted(d.crossings):
         sign = d.sign_of(c)
         if types[c] != 0:
-            out_c, in_c, over_c = _role_coeffs(ring, types[c] == 2, sign)
+            coef = roles[types[c] == 2, sign > 0]
             row = [ring.zero() for _ in gens]
-            row[gidx[("u", c)]] = row[gidx[("u", c)]] + out_c
-            row[gidx[ends[("u", c)]]] = row[gidx[ends[("u", c)]]] + in_c
-            row[gidx[overs[c]]] = row[gidx[overs[c]]] + over_c
+            row[gidx[("u", c)]] = row[gidx[("u", c)]] + coef["out"]
+            row[gidx[ends[("u", c)]]] = row[gidx[ends[("u", c)]]] + coef["in"]
+            row[gidx[overs[c]]] = row[gidx[overs[c]]] + coef["over"]
             rows.append(tuple(row))
             row_keys.append(("rel", c))
         else:

@@ -44,14 +44,20 @@ Q*m + R with deg_p(R) <= 1, and the class of A modulo (1-t)*m is the pair
     A_can = (Q at t=1)*m + R.
 
 B, R = r0 + r1*p and Q at t=1 come back from the images by exact division by
-2, by t-1 and by (p-1)^2 (see ``QElement.canonical_pair``).  Determinants
-are computed division-free (the rings have zero divisors, so no elimination
-with division is sound).
+2*(t-1) and by (p-1)^2 (see ``QElement.canonical_pair``).
+
+The quotient rings have zero divisors, but each image lies in a Laurent ring
+over Z, which is an integral domain.  So a determinant is computed image by
+image with fraction-free Gaussian elimination, whose every division is exact
+(see ``det``).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add, le, neg, sub
 
 
 class VariableSetMismatch(ValueError):
@@ -103,9 +109,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), 0)
-
     def exponent_range(self, var):
         """(min, max) exponent of var over all terms; None for zero poly."""
         if not self.terms:
@@ -147,7 +150,7 @@ class LaurentPoly:
         r = {}
         for k1, v1 in a.items():
             for k2, v2 in b.items():
-                k = tuple(x + y for x, y in zip(k1, k2))
+                k = tuple(map(add, k1, k2))
                 nv = r.get(k, 0) + v1 * v2
                 if nv:
                     r[k] = nv
@@ -167,10 +170,60 @@ class LaurentPoly:
             n >>= 1
         return result
 
-    def scale(self, c):
-        if c == 0:
+    def exact_div(self, divisor):
+        """The quotient h with self == h * divisor; raises ValueError if none.
+
+        Peels lex-leading terms: the leading term of self is that of h times
+        that of the divisor, because the coefficients lie in the domain Z.
+        For the same reason the lowest and highest exponent of each variable
+        add under multiplication, so every term of h lies in the box
+        [min self - min divisor, max self - max divisor].  The peeled
+        quotient terms strictly decrease in lex order, so a term outside the
+        box, or an integer quotient with a remainder, proves the division
+        inexact; the loop ends on every input.
+        """
+        self._check(divisor)
+        if not divisor.terms:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if not self.terms:
             return LaurentPoly(self.vars)
-        return LaurentPoly(self.vars, {k: c * v for k, v in self.terms.items()})
+        if len(divisor.terms) == 1:  # a monomial: shift every exponent
+            ((g, c),) = divisor.terms.items()
+            if any(v % c for v in self.terms.values()):
+                raise ValueError("division is not exact")
+            return LaurentPoly(self.vars, {tuple(map(sub, k, g)): v // c for k, v in self.terms.items()})
+        # Work on negated exponents, so that heapq's minimum is the lex maximum.
+        rem = {tuple(map(neg, k)): c for k, c in self.terms.items()}
+        div = [(tuple(map(neg, k)), c) for k, c in divisor.terms.items()]
+        lead, lead_c = min(div)
+        # h's box [min f - min g, max f - max g], negated
+        f_cols, g_cols = list(zip(*self.terms)), list(zip(*divisor.terms))
+        lo = tuple(max(g) - max(f) for f, g in zip(f_cols, g_cols))
+        hi = tuple(min(g) - min(f) for f, g in zip(f_cols, g_cols))
+        heap = list(rem)
+        heapq.heapify(heap)
+        quot = {}
+        while heap:
+            top = heapq.heappop(heap)
+            c = rem.get(top)
+            if c is None:
+                continue  # a stale copy of a term that has cancelled
+            q, r = divmod(c, lead_c)
+            delta = tuple(map(sub, top, lead))
+            if r or not (all(map(le, lo, delta)) and all(map(le, delta, hi))):
+                raise ValueError("division is not exact")
+            quot[tuple(map(neg, delta))] = q
+            for k, v in div:
+                key = tuple(map(add, delta, k))
+                old = rem.get(key)
+                if old is None:
+                    rem[key] = -q * v
+                    heapq.heappush(heap, key)
+                elif old == q * v:
+                    del rem[key]
+                else:
+                    rem[key] = old - q * v
+        return LaurentPoly(self.vars, quot)
 
     def shift(self, **exps):
         """Multiply by the monomial with the given exponents."""
@@ -301,13 +354,19 @@ class QuotientRing:
                 _accumulate(psi2, (0, pe) + rest, coef)
             _accumulate(by_q.setdefault(k, {}), (te + pe, 0) + rest, coef)
         vars = self.vars
-        one, t = LaurentPoly.const(vars, 1), LaurentPoly.monomial(vars, 1, t=1)
         psi3 = psi4 = LaurentPoly.zero(vars)
         for k, terms in by_q.items():
             at_pt = LaurentPoly(vars, terms)
-            psi3 = psi3 + at_pt * (one - t) ** k
-            psi4 = psi4 + at_pt * (t - one) ** k
+            for _ in range(k):
+                at_pt = at_pt * self._one_minus_t
+            psi3 = psi3 + at_pt
+            psi4 = psi4 + (-at_pt if k % 2 else at_pt)
         return QElement(self, (LaurentPoly(vars, psi1), LaurentPoly(vars, psi2), psi3, psi4))
+
+    @cached_property
+    def _one_minus_t(self):
+        """1 - t over ``vars``: the image of q under psi3, and minus that under psi4."""
+        return LaurentPoly.const(self.vars, 1) - LaurentPoly.monomial(self.vars, 1, t=1)
 
     def __repr__(self):
         return f"QuotientRing({self.tag})"
@@ -325,37 +384,6 @@ def g_ring(genus):
 def rprime_ring():
     """Quotient ring for the virtual-knot polynomial."""
     return QuotientRing("Rprime", ("s",))
-
-
-def _div_x_minus_1(f, var):
-    """Exact quotient f / (var - 1); raises ValueError when not exact.
-
-    Synthetic division on each column of terms that differ only in their
-    var-exponent: the quotient coefficient at var^(e-1) is the sum of the
-    coefficients of f at var^e and above, so the work is bounded by the
-    column's degree span.  The remainder is the column sum, f at var = 1.
-    """
-    i = f.vars.index(var)
-    columns = {}
-    for k, coef in f.terms.items():
-        columns.setdefault(k[:i] + k[i + 1 :], {})[k[i]] = coef
-    quot = {}
-    for rest, col in columns.items():
-        lo, hi = min(col), max(col)
-        acc = 0
-        for e in range(hi, lo, -1):
-            acc += col.get(e, 0)
-            if acc:
-                quot[rest[:i] + (e - 1,) + rest[i:]] = acc
-        if acc + col[lo]:
-            raise ValueError("division is not exact")
-    return LaurentPoly(f.vars, quot)
-
-
-def _halve(f):
-    if any(c % 2 for c in f.terms.values()):
-        raise ValueError("division is not exact")
-    return LaurentPoly(f.vars, {k: c // 2 for k, c in f.terms.items()})
 
 
 class QElement:
@@ -427,9 +455,8 @@ class QElement:
     def times_q(self):
         """Multiply by q, which psi1..psi4 send to 0, 0, 1-t and t-1."""
         _, _, psi3, psi4 = self.parts
-        vars = self.ring.vars
-        one_minus_t = LaurentPoly.const(vars, 1) - LaurentPoly.monomial(vars, 1, t=1)
-        zero = LaurentPoly.zero(vars)
+        one_minus_t = self.ring._one_minus_t
+        zero = LaurentPoly.zero(self.ring.vars)
         return QElement(self.ring, (zero, zero, psi3 * one_minus_t, -psi4 * one_minus_t))
 
     def canonical_pair(self):
@@ -439,18 +466,19 @@ class QElement:
         module docstring):
 
             B      = (psi4 - psi3) / (2*(t-1))
-            r1     = ((psi3 + psi4)/2 - psi1) / (t-1),    r0 = psi1 - r1
+            r1     = (psi3 + psi4 - 2*psi1) / (2*(t-1)),    r0 = psi1 - r1
             Q1     = (psi2 - r0(t=1) - r1(t=1)*p) / (p-1)^2
         """
         psi1, psi2, psi3, psi4 = self.parts
         vars = self.ring.vars
         one = LaurentPoly.const(vars, 1)
         t, p = LaurentPoly.monomial(vars, 1, t=1), LaurentPoly.monomial(vars, 1, p=1)
-        b = _div_x_minus_1(_halve(psi4 - psi3), "t")
-        r1 = _div_x_minus_1(_halve(psi3 + psi4) - psi1, "t")
+        two_t_minus_two = (t - one) * LaurentPoly.const(vars, 2)
+        b = (psi4 - psi3).exact_div(two_t_minus_two)
+        r1 = (psi3 + psi4 - psi1 - psi1).exact_div(two_t_minus_two)
         r0 = psi1 - r1
         rest = psi2 - r0.subs_one("t") - r1.subs_one("t") * p
-        q1 = _div_x_minus_1(_div_x_minus_1(rest, "p"), "p")
+        q1 = rest.exact_div((p - one) * (p - one))
         return q1 * (p - one) * (p - t) + r0 + r1 * p, b
 
     @property
@@ -527,14 +555,16 @@ class RawRing:
 
 
 # ---------------------------------------------------------------------------
-# Division-free determinants
+# Determinants
 
 
 def det(rows, ring):
-    """Determinant via the Berkowitz vector recurrence.
+    """Determinant of a square matrix of ``QElement`` over ``ring``.
 
-    Uses only ring addition and multiplication; sound over rings with zero
-    divisors.  The 0x0 determinant is the ring one.
+    The four ring maps are homomorphisms, so the determinant's images are
+    the determinants of the four image matrices; each is computed by
+    fraction-free elimination over its Laurent ring (``_bareiss_det``).
+    The 0x0 determinant is the ring one.
     """
     n = len(rows)
     for row in rows:
@@ -542,58 +572,67 @@ def det(rows, ring):
             raise NonSquare(f"{len(row)} entries in a row of a {n}-row matrix")
     if n == 0:
         return ring.one()
-    zero, one = ring.zero(), ring.one()
-
-    def dot(u, v):
-        acc = zero
-        for a, b in zip(u, v):
-            if a.is_zero or b.is_zero:
-                continue
-            acc = acc + a * b
-        return acc
-
-    polys = [one, -rows[0][0]]
-    for k in range(1, n):
-        akk = rows[k][k]
-        row_r = rows[k][:k]
-        col_s = [rows[i][k] for i in range(k)]
-        sub = [row[:k] for row in rows[:k]]
-        items = [one, -akk]
-        vec = col_s
-        for j in range(k):
-            items.append(-dot(row_r, vec))
-            if j < k - 1:
-                vec = [dot(sub[i], vec) for i in range(k)]
-        new = []
-        for i in range(k + 2):
-            acc = zero
-            for j in range(min(i, k) + 1):
-                if i - j < len(items):
-                    it, pj = items[i - j], polys[j]
-                    if not (it.is_zero or pj.is_zero):
-                        acc = acc + it * pj
-            new.append(acc)
-        polys = new
-    d = polys[n]
-    return d if n % 2 == 0 else -d
+    return QElement(
+        ring,
+        tuple(
+            _bareiss_det(
+                [{j: e.parts[c] for j, e in enumerate(row) if not e.parts[c].is_zero} for row in rows],
+                ring.vars,
+            )
+            for c in range(4)
+        ),
+    )
 
 
-def cofactor_det(rows, ring):
-    """Naive Laplace expansion along the first row; the test oracle."""
+def _bareiss_det(rows, vars):
+    """Determinant over an integral domain of Laurent polynomials.
+
+    ``rows`` is a square matrix as sparse rows {column: nonzero entry}, and
+    is consumed.  Bareiss (1968): step k turns every entry below and right
+    of the pivot into the (k+2)-minor  (p_k * m_ij - m_ik * m_kj) / p_(k-1),
+    where p_k is the step-k pivot and p_(-1) = 1; by Sylvester's identity
+    every division is exact, and the last pivot is the determinant.
+
+    Pivots are chosen per column, among the rows with a nonzero entry there:
+    the fewest nonzeros, then the fewest terms in the pivot, then the lowest
+    index (a Markowitz-style order that limits fill); each row swap flips
+    the sign.  A row with a zero in the pivot column would only be scaled
+    by p_k / p_(k-1), so it is left as it is, remembering the step ``level``
+    it was last brought to: a row at level L stands for the row at level
+    k - 1 times p_(k-1) / p_L, and the step-k update of it is
+    (p_k * m_ij - m_ik * m_kj) / p_L.
+    """
     n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise NonSquare(f"{len(row)} entries in a row of a {n}-row matrix")
-    if n == 0:
-        return ring.one()
-    if n == 1:
-        return rows[0][0]
-    acc = ring.zero()
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = entry * cofactor_det(minor, ring)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    sign = 1
+    level = [-1] * n
+    pivots = {}
+    for k in range(n):
+        candidates = [i for i in range(k, n) if k in rows[i]]
+        if not candidates:
+            return LaurentPoly.zero(vars)
+        i = min(candidates, key=lambda i: (len(rows[i]), len(rows[i][k].terms), i))
+        if i != k:
+            rows[i], rows[k] = rows[k], rows[i]
+            level[i], level[k] = level[k], level[i]
+            sign = -sign
+        prow = rows[k]
+        if level[k] != k - 1:
+            scale = pivots[k - 1]
+            prow = {j: _div_by_pivot(scale * e, pivots, level[k]) for j, e in prow.items()}
+        pivot = pivots[k] = prow.pop(k)
+        for i in range(k + 1, n):
+            row = rows[i]
+            a = row.pop(k, None)
+            if a is None:
+                continue
+            new = {j: pivot * e for j, e in row.items()}
+            for j, e in prow.items():
+                new[j] = new[j] - a * e if j in new else -(a * e)
+            rows[i] = {j: _div_by_pivot(e, pivots, level[i]) for j, e in new.items() if e.terms}
+            level[i] = k
+    return pivots[n - 1] if sign > 0 else -pivots[n - 1]
+
+
+def _div_by_pivot(f, pivots, level):
+    """f / p_level, where p_(-1) = 1."""
+    return f if level < 0 else f.exact_div(pivots[level])

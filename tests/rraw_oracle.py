@@ -25,7 +25,7 @@ to check that reduction would leave every exported entry unchanged, and to
 check identities of the transfer matrices modulo the relations.
 """
 
-from knotparity.rings import RAW_VARS, LaurentPoly, VariableSetMismatch, _div_x_minus_1
+from knotparity.rings import RAW_VARS, LaurentPoly, VariableSetMismatch
 
 
 def subs_inverse(poly, src, dst):
@@ -118,20 +118,8 @@ def oracle_reduce(poly):
 
 
 def div_rs_minus_1(f):
-    """Exact quotient f / (rs - 1); raises ValueError when not exact.
-
-    With u = r*s, r^a*s^b = u^a*s^(b-a) and rs - 1 = u - 1: shear the
-    exponents into (u, s), divide by u - 1 in r's slot, and shear back.
-    """
-    si, ri = RAW_VARS.index("s"), RAW_VARS.index("r")
-
-    def shear(poly, sign):
-        return LaurentPoly(
-            RAW_VARS,
-            {k[:si] + (k[si] + sign * k[ri],) + k[si + 1 :]: v for k, v in poly.terms.items()},
-        )
-
-    return shear(_div_x_minus_1(shear(f, -1), "r"), 1)
+    """Exact quotient f / (rs - 1); raises ValueError when not exact."""
+    return f.exact_div(LaurentPoly.monomial(RAW_VARS, 1, r=1, s=1) - LaurentPoly.const(RAW_VARS, 1))
 
 
 class RawElement:

@@ -24,11 +24,12 @@ from knotparity.moves import verify_invariance
 from knotparity.parity import EVEN, parity_map
 from knotparity.rings import (
     LaurentPoly,
-    cofactor_det,
     det,
     g_ring,
     rprime_ring,
 )
+
+from det_oracle import cofactor_det
 
 from test_invariant import S_112, S_113BAR
 from test_matrix import _expected_m_112, _expected_m_113bar

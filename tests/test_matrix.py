@@ -88,7 +88,7 @@ def test_every_row_has_one_origin_contribution():
     # so each row picks up exactly one constant coefficient from it:
     # -1 at positive crossings, t at negative ones
     from knotparity.diagram import arcs
-    from knotparity.matrix import _role_coeffs
+    from knotparity.matrix import _role_table
 
     rng = random.Random(13)
     for _ in range(15):
@@ -103,9 +103,10 @@ def test_every_row_has_one_origin_contribution():
             assert len(outs[c]) == 1
             assert all(e == 0 for e in outs[c][0].label)
         ring = g_ring(d.genus)
+        roles = _role_table(ring)
         par = parity_map(d)
         for c in d.crossings:
-            out_c, _, _ = _role_coeffs(ring, par[c] == "even", d.sign_of(c))
+            out_c = roles[par[c] == "even", d.sign_of(c) > 0]["out"]
             if d.sign_of(c) > 0:
                 assert out_c == -ring.one()
             else:

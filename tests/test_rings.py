@@ -9,12 +9,11 @@ from knotparity.rings import (
     NonSquare,
     RAW_VARS,
     VariableSetMismatch,
-    _div_x_minus_1,
-    cofactor_det,
     det,
     g_ring,
     rprime_ring,
 )
+from det_oracle import cofactor_det
 from rraw_oracle import ReducingRawRing, div_rs_minus_1, r_reduce
 
 
@@ -90,23 +89,31 @@ def test_exact_linear_division():
     vars = ("t", "p", "x1")
     one = LaurentPoly.const(vars, 1)
     t = LaurentPoly.monomial(vars, 1, t=1)
+    p = LaurentPoly.monomial(vars, 1, p=1)
     h = LaurentPoly(vars, {(-3, 1, 0): 2, (4, 0, -1): -1, (0, 0, 0): 5})
-    assert _div_x_minus_1((t - one) * h, "t") == h
+    assert ((t - one) * h).exact_div(t - one) == h
     # the quotient fills the exponent gap: (t^5 - 1)/(t - 1) = t^4 + ... + 1
     t5 = LaurentPoly.monomial(vars, 1, t=5)
-    assert _div_x_minus_1(t5 - one, "t") == sum(
+    assert (t5 - one).exact_div(t - one) == sum(
         (LaurentPoly.monomial(vars, 1, t=e) for e in range(5)), LaurentPoly.zero(vars)
     )
     with pytest.raises(ValueError, match="not exact"):
-        _div_x_minus_1((t - one) * h + t5, "t")
+        ((t - one) * h + t5).exact_div(t - one)
     with pytest.raises(ValueError, match="not exact"):
-        _div_x_minus_1(t5, "p")
+        t5.exact_div(p - one)
     rs = LaurentPoly.monomial(RAW_VARS, 1, r=1, s=1)
     g = LaurentPoly(RAW_VARS, {(1, 0, 1, -2, 3, 0): 4, (0, 2, 0, 1, -1, 1): -1})
     raw_one = LaurentPoly.const(RAW_VARS, 1)
     assert div_rs_minus_1((rs - raw_one) * g) == g
     with pytest.raises(ValueError, match="not exact"):
         div_rs_minus_1((rs - raw_one) * g + rs)
+    # non-multiples fail at once instead of running on: a power series, a
+    # quotient outside the exponent box, an integer remainder
+    two = LaurentPoly.const(vars, 2)
+    assert (two * h).exact_div(two) == h
+    for dividend, divisor in ((one, one - t), (t5, p - one), (LaurentPoly.const(vars, 3), two)):
+        with pytest.raises(ValueError, match="not exact"):
+            dividend.exact_div(divisor)
 
 
 # --- quotient rings ----------------------------------------------------------
