@@ -191,6 +191,18 @@ def cmd_verify(args):
     return 0 if all(r.ok for r in reports) else 2
 
 
+def _int_at_least(low):
+    """argparse type: an integer >= low, else a usage error."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="knotparity",
@@ -239,9 +251,9 @@ def build_parser():
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="randomized invariance and axiom checks")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-crossings", type=int, default=8)
-    p.add_argument("--genus", type=int, default=2)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
+    p.add_argument("--max-crossings", type=_int_at_least(1), default=8)
+    p.add_argument("--genus", type=_int_at_least(0), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--invariant", choices=("s", "nprime", "both"), default="both")
     p.add_argument("--report", help="write a JSON report to this path")

@@ -17,6 +17,14 @@ The basepoint is always token position 0 of the parsed text.  Crossing ids
 from input are renumbered 1..n in order of first appearance; renumbering is
 harmless because every downstream quantity is either id-independent or
 covariant with it.
+
+Arcs come from one cyclic walk, ``walk``, which cuts the token sequence at
+the tokens a per-token action stops at and accumulates a label vector
+between them.  ``arcs`` stops at under-passages and vertices and counts side
+tokens (the surface matrix); ``short_arcs`` stops at under-passages of
+type-1/2 crossings and counts the s-exponent gained at type-0 crossings in a
+one-entry label (the virtual matrix); the presentation matrix also stops at
+type-0 over-passages.
 """
 
 from __future__ import annotations
@@ -239,9 +247,9 @@ def parse_file(path, lenient=False):
 @dataclass(frozen=True)
 class Incidence:
     site: int            # crossing id, or vertex id for subdivision vertices
-    site_kind: str       # "crossing" | "vertex"
+    site_kind: str       # "crossing" | "vertex" ("u" | "o" in the presentation walk)
     role: str            # "out" | "in" | "over"
-    label: tuple         # accumulated side exponents (alpha_1 .. alpha_2g)
+    label: tuple         # label exponents accumulated since the arc's origin
 
 
 @dataclass(frozen=True)
@@ -262,13 +270,51 @@ class ArcTable:
         return len(self.arcs)
 
 
-def _delimiters(d):
-    """Token positions at which arcs end/start: under-passages and vertices."""
-    out = []
-    for i, tok in enumerate(d.tokens):
-        if isinstance(tok, Vertex) or (isinstance(tok, Passage) and not tok.over):
-            out.append(i)
-    return out
+# what a token does to the walk: (STOP, site, kind) ends the running arc there
+# and starts the next, (OVER, site, kind) records an over-incidence, (STEP, k,
+# e) adds e to label coordinate k, and None ignores the token
+STOP, OVER, STEP = "stop", "over", "step"
+
+
+def walk(tokens, width, action):
+    """Cut the cyclic token sequence into arcs at the tokens ``action`` stops at.
+
+    ``action(token)`` says what each token does (see STOP, OVER, STEP).
+    Each arc starts with an "out" incidence at its stop, records an "over"
+    incidence at every over-token and ends with an "in" incidence at the
+    next stop; its label, ``width`` exponents, is zero at the origin.  Arcs
+    come in the order of their stops; no stop gives the empty table.
+    """
+    acts = [action(tok) for tok in tokens]
+    n = len(acts)
+    table = []
+    for start in (i for i, a in enumerate(acts) if a is not None and a[0] == STOP):
+        _, origin, okind = acts[start]
+        label = [0] * width
+        incs = [Incidence(origin, okind, "out", tuple(label))]
+        i = start
+        while True:
+            i = (i + 1) % n
+            act = acts[i]
+            if act is None:
+                continue
+            what, a, b = act
+            if what == STEP:
+                label[a] += b
+                continue
+            incs.append(Incidence(a, b, "over" if what == OVER else "in", tuple(label)))
+            if what == STOP:
+                break
+        table.append(Arc(origin, okind, tuple(incs)))
+    return ArcTable(tuple(table))
+
+
+def _surface_action(tok):
+    if isinstance(tok, SideToken):
+        return STEP, tok.side - 1, tok.sign
+    if isinstance(tok, Vertex):
+        return STOP, tok.vid, "vertex"
+    return (OVER if tok.over else STOP), tok.crossing, "crossing"
 
 
 def arcs(d):
@@ -279,60 +325,7 @@ def arcs(d):
     +-1 in coordinate m at each side token.  The table is empty for a
     diagram with no delimiters.
     """
-    stops = _delimiters(d)
-    if not stops:
-        return ArcTable(())
-    n = len(d.tokens)
-    table = []
-    for start in stops:
-        tok0 = d.tokens[start]
-        if isinstance(tok0, Vertex):
-            origin, okind = tok0.vid, "vertex"
-        else:
-            origin, okind = tok0.crossing, "crossing"
-        label = [0] * (2 * d.genus)
-        incs = [Incidence(origin, okind, "out", tuple(label))]
-        i = (start + 1) % n
-        while True:
-            tok = d.tokens[i]
-            if isinstance(tok, SideToken):
-                label[tok.side - 1] += tok.sign
-            elif isinstance(tok, Vertex):
-                incs.append(Incidence(tok.vid, "vertex", "in", tuple(label)))
-                break
-            elif tok.over:
-                incs.append(Incidence(tok.crossing, "crossing", "over", tuple(label)))
-            else:
-                incs.append(Incidence(tok.crossing, "crossing", "in", tuple(label)))
-                break
-            i = (i + 1) % n
-        table.append(Arc(origin, okind, tuple(incs)))
-    return ArcTable(tuple(table))
-
-
-# ---------------------------------------------------------------------------
-# Short arcs (for the virtual-knot matrix)
-
-
-@dataclass(frozen=True)
-class ShortIncidence:
-    crossing: int
-    role: str            # "out" | "in" | "over"
-    s_exp: int
-
-
-@dataclass(frozen=True)
-class ShortArc:
-    origin: int          # type-1/2 crossing whose under-passage starts the arc
-    incidences: tuple
-
-
-@dataclass(frozen=True)
-class ShortArcTable:
-    arcs: tuple
-
-    def __len__(self):
-        return len(self.arcs)
+    return walk(d.tokens, 2 * d.genus, _surface_action)
 
 
 def short_arcs(d, types):
@@ -340,38 +333,17 @@ def short_arcs(d, types):
 
     Arcs are delimited only by under-passages at crossings of types 1 and 2.
     Passing a type-0 crossing of sign e multiplies the running label by s^e
-    on the under strand and s^-e on the over strand; over-passages at
-    type-1/2 crossings are recorded as incidences with the accumulated
-    exponent.  All crossings type 0 gives the empty table.
+    on the under strand and s^-e on the over strand, so each incidence
+    carries the one-entry label (s exponent,); over-passages at type-1/2
+    crossings are recorded as incidences.  All crossings type 0 gives the
+    empty table; a crossing missing from ``types`` raises KeyError.
     """
-    for cid in d.crossings:
-        if cid not in types:
-            raise KeyError(f"type missing for crossing {cid}")
-    stops = [
-        i
-        for i, tok in enumerate(d.tokens)
-        if isinstance(tok, Passage) and not tok.over and types[tok.crossing] != 0
-    ]
-    if not stops:
-        return ShortArcTable(())
-    n = len(d.tokens)
-    table = []
-    for start in stops:
-        origin = d.tokens[start].crossing
-        exp = 0
-        incs = [ShortIncidence(origin, "out", 0)]
-        i = (start + 1) % n
-        while True:
-            tok = d.tokens[i]
-            if isinstance(tok, Passage):
-                ty = types[tok.crossing]
-                if ty == 0:
-                    exp += tok.sign if not tok.over else -tok.sign
-                elif tok.over:
-                    incs.append(ShortIncidence(tok.crossing, "over", exp))
-                else:
-                    incs.append(ShortIncidence(tok.crossing, "in", exp))
-                    break
-            i = (i + 1) % n
-        table.append(ShortArc(origin, tuple(incs)))
-    return ShortArcTable(tuple(table))
+
+    def action(tok):
+        if not isinstance(tok, Passage):
+            return None
+        if types[tok.crossing] == 0:
+            return STEP, 0, -tok.sign if tok.over else tok.sign
+        return (OVER if tok.over else STOP), tok.crossing, "crossing"
+
+    return walk(d.tokens, 1, action)

@@ -123,25 +123,34 @@ def n_presentation(d):
     return build_N_presentation(d, hierarchy_types(d))
 
 
-def _match(a, b):
-    """If canonical orbits agree, the unit with b == sign t^a p^b * a."""
-    wa, ra = normalize(a)
-    wb, rb = normalize(b)
-    if wa == wb:
-        return UnitRecord(ra.sign * rb.sign, ra.t_shift - rb.t_shift, ra.p_shift - rb.p_shift)
-    return None
+def _value(x):
+    """(normalized value, original element) of a value or a bare element."""
+    if isinstance(x, InvariantValue):
+        return x, x.original()
+    return make_value(x.ring.tag, x), x
+
+
+def _unit_between(va, vb, q_power=0):
+    """If the canonical orbits agree, the unit u with vb's original == u * va's."""
+    if va.element != vb.element:
+        return None
+    ra, rb = va.record, vb.record
+    return UnitRecord(
+        ra.sign * rb.sign, ra.t_shift - rb.t_shift, ra.p_shift - rb.p_shift, q_power
+    )
 
 
 def compare(first, second):
     """Decide equivalence up to +- t^a p^b q^c with c in {0, 1}.
 
-    Accepts InvariantValue or bare elements over the same ring.  Zero is
+    Accepts InvariantValue or bare elements over the same ring; stored
+    values are not normalized again, only the q-multiples are.  Zero is
     equivalent only to zero.  The q-power is searched in {0, 1} only: as a
     multiplier, q^2 rewrites to the q-free (1-t)(1-p) and stops acting as a
     monomial unit.
     """
-    a = first.original() if isinstance(first, InvariantValue) else first
-    b = second.original() if isinstance(second, InvariantValue) else second
+    va, a = _value(first)
+    vb, b = _value(second)
     if a.ring != b.ring:
         raise rings.RingMismatch(f"{a.ring} vs {b.ring}")
     if a.is_zero or b.is_zero:
@@ -149,24 +158,21 @@ def compare(first, second):
             return ComparisonResult(EQUIVALENT, UnitRecord(1, 0, 0), "second_from_first")
         return ComparisonResult(DISTINCT)
 
-    unit = _match(a, b)
+    unit = _unit_between(va, vb)
     if unit is not None:
         _verify(a, b, unit, "second_from_first")
         return ComparisonResult(EQUIVALENT, unit, "second_from_first")
-    qa = a.times_q()
-    if not qa.is_zero:
-        unit = _match(qa, b)
+    for src, dst, vdst, expressed in (
+        (a, b, vb, "second_from_first"),
+        (b, a, va, "first_from_second"),
+    ):
+        qsrc = src.times_q()
+        if qsrc.is_zero:
+            continue
+        unit = _unit_between(make_value(va.tag, qsrc), vdst, q_power=1)
         if unit is not None:
-            unit = UnitRecord(unit.sign, unit.t_shift, unit.p_shift, 1)
-            _verify(a, b, unit, "second_from_first")
-            return ComparisonResult(EQUIVALENT, unit, "second_from_first")
-    qb = b.times_q()
-    if not qb.is_zero:
-        unit = _match(qb, a)
-        if unit is not None:
-            unit = UnitRecord(unit.sign, unit.t_shift, unit.p_shift, 1)
-            _verify(b, a, unit, "first_from_second")
-            return ComparisonResult(EQUIVALENT, unit, "first_from_second")
+            _verify(src, dst, unit, expressed)
+            return ComparisonResult(EQUIVALENT, unit, expressed)
     return ComparisonResult(DISTINCT)
 
 

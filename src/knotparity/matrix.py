@@ -17,7 +17,11 @@ contribute the row  -1 * out + x^label * in.
 
 The virtual-knot matrix uses the same rules with type 2 in place of even and
 type 1 in place of odd, labels being powers of s accumulated through type-0
-crossings; type-0 crossings contribute no rows.
+crossings; type-0 crossings contribute no rows.  Both matrices are filled by
+one routine, ``_fill``, from the arc tables of ``diagram.arcs`` and
+``diagram.short_arcs``; the label monomial of an incidence is the product of
+the ring's extra variables (x1..x2g, or s) raised to its label entries.  The
+presentation matrix reads its generators from the same arc walk.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rings
-from .diagram import Passage, Vertex, arcs, short_arcs
+from .diagram import OVER, STOP, Passage, arcs, short_arcs, walk
 from .parity import EVEN
 
 
@@ -70,49 +74,50 @@ def _role_table(ring):
     return table
 
 
+def _fill(ring, table, keys, coef):
+    """Square grid over ``keys``: arc j adds coef(inc) * label monomial at row inc.
+
+    Rows and columns are both indexed by ``keys``, the (kind, id) sites in
+    display order; arc columns are keyed by their origin.  Empty cells share
+    one zero.
+    """
+    idx = {k: i for i, k in enumerate(keys)}
+    zero = ring.zero()
+    grid = [[zero] * len(keys) for _ in keys]
+    monomials = {}
+    for arc in table.arcs:
+        j = idx[arc.origin_kind, arc.origin]
+        for inc in arc.incidences:
+            i = idx[inc.site_kind, inc.site]
+            if inc.label not in monomials:
+                monomials[inc.label] = ring.element(1, **dict(zip(ring.extras, inc.label)))
+            grid[i][j] = grid[i][j] + coef(inc) * monomials[inc.label]
+    return tuple(tuple(row) for row in grid)
+
+
 def build_M(d, par):
     """Matrix of a surface diagram over the genus-g quotient ring.
 
     One column per arc, one row per crossing (plus one per subdivision
-    vertex); empty diagrams give the 0x0 matrix.
+    vertex), both in that order; empty diagrams give the 0x0 matrix.
     """
     ring = rings.g_ring(d.genus)
     for cid in d.crossings:
         if cid not in par:
             raise ParityIncomplete(f"no parity for crossing {cid}")
-    table = arcs(d)
-    col_keys = tuple(
-        sorted(
-            ((a.origin_kind, a.origin) for a in table.arcs),
-            key=lambda k: (k[0] != "crossing", k[1]),
-        )
-    )
-    row_keys = tuple(
+    keys = tuple(
         [("crossing", c) for c in sorted(d.crossings)]
         + [("vertex", v) for v in sorted(d.vertex_ids)]
     )
-    cidx = {k: i for i, k in enumerate(col_keys)}
-    ridx = {k: i for i, k in enumerate(row_keys)}
-    n = len(row_keys)
-    grid = [[ring.zero() for _ in range(n)] for _ in range(n)]
     roles = _role_table(ring)
     vertex_roles = {"out": -ring.one(), "in": ring.one()}
-    label_elems = {}
-    for arc in table.arcs:
-        j = cidx[(arc.origin_kind, arc.origin)]
-        for inc in arc.incidences:
-            i = ridx[(inc.site_kind, inc.site)]
-            if inc.site_kind == "vertex":
-                coef = vertex_roles[inc.role]
-            else:
-                coef = roles[par[inc.site] == EVEN, d.sign_of(inc.site) > 0][inc.role]
-            if inc.label not in label_elems:
-                exps = {f"x{k + 1}": e for k, e in enumerate(inc.label) if e}
-                label_elems[inc.label] = ring.element(1, **exps)
-            grid[i][j] = grid[i][j] + coef * label_elems[inc.label]
-    return InvariantMatrix(
-        "G", ring, tuple(tuple(row) for row in grid), row_keys, col_keys
-    )
+
+    def coef(inc):
+        if inc.site_kind == "vertex":
+            return vertex_roles[inc.role]
+        return roles[par[inc.site] == EVEN, d.sign_of(inc.site) > 0][inc.role]
+
+    return InvariantMatrix("G", ring, _fill(ring, arcs(d), keys, coef), keys, keys)
 
 
 def build_Npp(d, types):
@@ -124,27 +129,14 @@ def build_Npp(d, types):
     """
     ring = rings.rprime_ring()
     table = short_arcs(d, types)
-    keep = sorted(c for c in d.crossings if types[c] != 0)
-    idx = {c: i for i, c in enumerate(keep)}
-    n = len(keep)
-    grid = [[ring.zero() for _ in range(n)] for _ in range(n)]
+    keep = tuple(sorted(c for c in d.crossings if types[c] != 0))
     roles = _role_table(ring)
-    label_elems = {}
-    for arc in table.arcs:
-        j = idx[arc.origin]
-        for inc in arc.incidences:
-            i = idx[inc.crossing]
-            coef = roles[types[inc.crossing] == 2, d.sign_of(inc.crossing) > 0][inc.role]
-            if inc.s_exp not in label_elems:
-                label_elems[inc.s_exp] = ring.element(1, s=inc.s_exp)
-            grid[i][j] = grid[i][j] + coef * label_elems[inc.s_exp]
-    return InvariantMatrix(
-        "Rprime",
-        ring,
-        tuple(tuple(row) for row in grid),
-        tuple(keep),
-        tuple(keep),
-    )
+
+    def coef(inc):
+        return roles[types[inc.site] == 2, d.sign_of(inc.site) > 0][inc.role]
+
+    grid = _fill(ring, table, [("crossing", c) for c in keep], coef)
+    return InvariantMatrix("Rprime", ring, grid, keep, keep)
 
 
 # -- module presentation over the big ring -----------------------------------
@@ -177,66 +169,54 @@ def build_N_presentation(d, types):
     """Presentation matrix of the invariant module over the big ring.
 
     Generators are the short arcs broken at every classical under-passage
-    and at type-0 over-passages; type-1/2 crossings contribute a single row
+    and at type-0 over-passages, keyed ("u", c) and ("o", c) by the passage
+    they leave, in token order; type-1/2 crossings contribute a single row
     with the usual role labels, type-0 crossings two rows expressing both
     emanating arcs in the incoming ones.
     """
     ring = rings.RawRing()
-    delim = []
-    for i, tok in enumerate(d.tokens):
-        if isinstance(tok, Passage):
-            if not tok.over:
-                delim.append((i, ("u", tok.crossing)))
-            elif types[tok.crossing] == 0:
-                delim.append((i, ("o", tok.crossing)))
-    gens = [key for _, key in delim]
+
+    def action(tok):
+        if not isinstance(tok, Passage):
+            return None
+        if not tok.over:
+            return STOP, tok.crossing, "u"
+        return (STOP if types[tok.crossing] == 0 else OVER), tok.crossing, "o"
+
+    table = walk(d.tokens, 0, action)
+    gens = tuple((a.origin_kind, a.origin) for a in table.arcs)
     gidx = {k: i for i, k in enumerate(gens)}
-    if not gens:
-        return InvariantMatrix("Rraw", ring, (), (), ())
+    ends = {}        # terminal passage key -> generator of the arc ending there
+    overs = {}       # type-1/2 crossing -> generator passing over it
+    for gen, arc in zip(gens, table.arcs):
+        for inc in arc.incidences[1:]:
+            if inc.role == "over":
+                overs[inc.site] = gen
+            else:
+                ends[inc.site_kind, inc.site] = gen
 
-    n = len(d.tokens)
-    ends = {}        # terminal passage key -> generator key of the arc ending there
-    overs = {}       # type-1/2 crossing -> generator key passing over it
-    delim_pos = {i for i, _ in delim}
-    for start, key in delim:
-        i = (start + 1) % n
-        while True:
-            tok = d.tokens[i]
-            if isinstance(tok, Passage):
-                if i in delim_pos:
-                    ends[("u" if not tok.over else "o", tok.crossing)] = key
-                    break
-                if tok.over:
-                    overs[tok.crossing] = key
-            i = (i + 1) % n
+    zero = ring.zero()
+    rows, row_keys = [], []
 
-    rows = []
-    row_keys = []
+    def add_row(key, *terms):
+        row = [zero] * len(gens)
+        for gen, c in terms:
+            row[gidx[gen]] = row[gidx[gen]] + c
+        rows.append(tuple(row))
+        row_keys.append(key)
+
     roles = _role_table(ring)
+    minus = -ring.one()
     for c in sorted(d.crossings):
         sign = d.sign_of(c)
+        under, over = ("u", c), ("o", c)
         if types[c] != 0:
             coef = roles[types[c] == 2, sign > 0]
-            row = [ring.zero() for _ in gens]
-            row[gidx[("u", c)]] = row[gidx[("u", c)]] + coef["out"]
-            row[gidx[ends[("u", c)]]] = row[gidx[ends[("u", c)]]] + coef["in"]
-            row[gidx[overs[c]]] = row[gidx[overs[c]]] + coef["over"]
-            rows.append(tuple(row))
-            row_keys.append(("rel", c))
+            add_row(("rel", c), (under, coef["out"]), (ends[under], coef["in"]),
+                    (overs[c], coef["over"]))
         else:
             under_in, over_mix, over_in = _type0_coeffs(ring, sign)
-            minus = -ring.one()
-            row = [ring.zero() for _ in gens]
-            row[gidx[("u", c)]] = row[gidx[("u", c)]] + minus
-            row[gidx[ends[("u", c)]]] = row[gidx[ends[("u", c)]]] + under_in
-            rows.append(tuple(row))
-            row_keys.append(("rel-under", c))
-            row = [ring.zero() for _ in gens]
-            row[gidx[("o", c)]] = row[gidx[("o", c)]] + minus
-            row[gidx[ends[("u", c)]]] = row[gidx[ends[("u", c)]]] + over_mix
-            row[gidx[ends[("o", c)]]] = row[gidx[ends[("o", c)]]] + over_in
-            rows.append(tuple(row))
-            row_keys.append(("rel-over", c))
-    return InvariantMatrix(
-        "Rraw", ring, tuple(rows), tuple(row_keys), tuple(gens)
-    )
+            add_row(("rel-under", c), (under, minus), (ends[under], under_in))
+            add_row(("rel-over", c), (over, minus), (ends[under], over_mix),
+                    (ends[over], over_in))
+    return InvariantMatrix("Rraw", ring, tuple(rows), tuple(row_keys), gens)

@@ -98,12 +98,10 @@ def applicable(d, rng=None, insertion_samples=2):
                 continue
             if oa.sign != -ob.sign:
                 continue
-            if ua.crossing == oa.crossing and ub.crossing == ob.crossing:
-                out.append(MoveInstance("R2-", ((i, j), (k, l))))
-            elif ua.crossing == ob.crossing and ub.crossing == oa.crossing:
+            if {ua.crossing, ub.crossing} == {oa.crossing, ob.crossing}:
                 out.append(MoveInstance("R2-", ((i, j), (k, l))))
 
-    out.extend(_r3_sites(d, pairs))
+    out.extend(_r3_sites(pairs, overs, unders))
 
     seen = set()
     for i, tok in enumerate(d.tokens):
@@ -152,12 +150,9 @@ def applicable(d, rng=None, insertion_samples=2):
     return out
 
 
-def _r3_sites(d, pairs):
+def _r3_sites(pairs, overs, unders):
     sites = []
-    overs = [(i, j, a, b) for i, j, a, b in pairs if a.over and b.over and a.crossing != b.crossing]
-    unders = [(i, j, a, b) for i, j, a, b in pairs if not a.over and not b.over and a.crossing != b.crossing]
     mixed = [(i, j, a, b) for i, j, a, b in pairs if a.over != b.over and a.crossing != b.crossing]
-    seen = set()
     for oi, oj, o1, o2 in overs:
         for mi, mj, m1, m2 in mixed:
             for ui, uj, u1, u2 in unders:
@@ -187,10 +182,6 @@ def _r3_sites(d, pairs):
                     continue
                 if not (trip[0].sign == trip[1].sign == trip[2].sign):
                     continue
-                key = frozenset([(oi, oj), (mi, mj), (ui, uj)])
-                if key in seen:
-                    continue
-                seen.add(key)
                 sites.append(MoveInstance("R3", ((oi, oj), (mi, mj), (ui, uj))))
     return sites
 

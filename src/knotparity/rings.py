@@ -225,16 +225,6 @@ class LaurentPoly:
                     rem[key] = old - q * v
         return LaurentPoly(self.vars, quot)
 
-    def shift(self, **exps):
-        """Multiply by the monomial with the given exponents."""
-        delta = [0] * len(self.vars)
-        for name, e in exps.items():
-            delta[self.vars.index(name)] = e
-        return LaurentPoly(
-            self.vars,
-            {tuple(x + d for x, d in zip(k, delta)): v for k, v in self.terms.items()},
-        )
-
     # -- substitutions
 
     def subs_one(self, var):

@@ -100,3 +100,12 @@ def test_lenient_census(tmp_path, capsys):
 
 def test_usage_error_exit_code():
     assert run(["invariant", PAIR]) == 1  # missing --type
+
+
+def test_verify_rejects_out_of_range_arguments(capsys):
+    # each would otherwise crash in random.randint or silently run no trials
+    for bad in (["--max-crossings", "0"], ["--genus", "-1"], ["--trials", "-3"],
+                ["--trials", "0"]):
+        assert run(["verify", "--seed", "1", *bad]) == 1, bad
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be at least" in err and "Traceback" not in err

@@ -161,7 +161,7 @@ def test_short_arcs_trefoil_all_type2():
     table = short_arcs(d, {1: 2, 2: 2, 3: 2})
     assert len(table) == 3
     for arc in table.arcs:
-        assert all(i.s_exp == 0 for i in arc.incidences)
+        assert all(i.label[0] == 0 for i in arc.incidences)
 
 
 def _oracle_short_walk(d, types):
@@ -205,7 +205,7 @@ def test_short_arcs_match_walk_oracle(seed, n):
     oracle = _oracle_short_walk(d, types)
     assert len(table) == sum(1 for v in types.values() if v != 0)
     got = {
-        arc.origin: [(i.crossing, i.role, i.s_exp) for i in arc.incidences]
+        arc.origin: [(i.site, i.role, i.label[0]) for i in arc.incidences]
         for arc in table.arcs
     }
     assert got == oracle
