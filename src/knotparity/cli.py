@@ -93,9 +93,8 @@ def cmd_invariant(args):
     payload = []
     for d in _load(args.file, args.lenient):
         value = inv(d)
-        par = parity_map(d)
-        types = hierarchy_types(d)
         if args.json:
+            par, types = parity_map(d), hierarchy_types(d)
             payload.append(
                 {
                     "name": d.name,

@@ -57,6 +57,19 @@ class SideIndexOutOfRange(DiagramError):
     pass
 
 
+class TooManyTokens(DiagramError):
+    pass
+
+
+# The most tokens a parsed diagram may have.  With T tokens the matrices
+# have N <= T rows and entries whose exponents are at most max(2, S) in
+# absolute value, S <= T being the side-token count (or, for the virtual
+# matrix, the type-0 crossings); a product of two minors before a Bareiss
+# division then has exponents at most 2*N*max(2, S) <= 2*T^2 < 2^30, inside
+# the exponent limit of the packed Laurent polynomials (rings.EXPONENT_LIMIT).
+MAX_TOKENS = 20_000
+
+
 @dataclass(frozen=True)
 class Passage:
     crossing: int
@@ -164,8 +177,11 @@ class Diagram:
 
 
 def _parse_tokens(name, genus, body):
+    words = body.split()
+    if len(words) > MAX_TOKENS:
+        raise TooManyTokens(f"{name}: {len(words)} tokens, more than the {MAX_TOKENS} allowed")
     tokens = []
-    for word in body.split():
+    for word in words:
         m = _TOKEN_RE.match(word)
         if not m:
             raise MalformedToken(f"{name}: bad token {word!r}")

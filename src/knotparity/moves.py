@@ -341,10 +341,11 @@ def random_diagram(rng, crossings, genus=0, max_side_tokens=2, name="rnd"):
 # Axiom checks and the verification harness
 
 
-def _axiom_problems(before, after, move):
+def _axiom_problems(before, after, move, par_b, ty_b):
+    """Axiom violations of one move; par_b and ty_b are the parity map and
+    hierarchy types of ``before``, computed once for all of its moves."""
     problems = []
-    par_b, par_a = parity_map(before), parity_map(after)
-    ty_b, ty_a = hierarchy_types(before), hierarchy_types(after)
+    par_a, ty_a = parity_map(after), hierarchy_types(after)
     common = set(par_b) & set(par_a)
     kind = move.kind
 
@@ -476,15 +477,17 @@ def verify_invariance(seed, trials, max_crossings, genus=0, invariant="s"):
         if invariant == "nprime":
             moves = [m for m in moves if m.kind not in ("SidePass", "Subdivide")]
         value = None
+        par, types = parity_map(d), hierarchy_types(d)
+        degenerate = _degenerate(d, invariant)
         for mv in moves:
             d2 = apply(d, mv)
             rep.moves_checked += 1
             rep.by_kind[mv.kind] = rep.by_kind.get(mv.kind, 0) + 1
-            for prob in _axiom_problems(d, d2, mv):
+            for prob in _axiom_problems(d, d2, mv, par, types):
                 rep.counterexamples.append(
                     (trial, d.serialize(), mv.describe(), "axiom", prob)
                 )
-            if _degenerate(d, invariant) or _degenerate(d2, invariant):
+            if degenerate or _degenerate(d2, invariant):
                 rep.skipped_boundary += 1
                 continue
             if value is None:

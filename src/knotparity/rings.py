@@ -3,8 +3,9 @@
 Two layers live here:
 
 * ``LaurentPoly`` -- sparse integer-coefficient multivariate Laurent
-  polynomials.  Python integers never overflow, which the exactness of
-  everything downstream depends on.
+  polynomials, each term keyed by its exponent vector packed into one int.
+  Python integers never overflow, which the exactness of everything
+  downstream depends on.
 * ``QuotientRing`` / ``QElement`` -- the quotient rings used by the surface
   invariant (tag ``"G"``, variables t, p, q, x1..x2g) and the virtual-knot
   invariant (tag ``"Rprime"``, variables t, p, q, s).  Both rings impose
@@ -50,14 +51,36 @@ The quotient rings have zero divisors, but each image lies in a Laurent ring
 over Z, which is an integral domain.  So a determinant is computed image by
 image with fraction-free Gaussian elimination, whose every division is exact
 (see ``det``).
+
+Packed exponents (after Monagan and Pearce, "Parallel sparse polynomial
+multiplication using heaps", 2009).  A ``LaurentPoly`` over n variables keys
+each term by one int: the exponent vector (e_1, ..., e_n) read as signed
+digits in base 2^FIELD_BITS, e_1 the most significant,
+
+    key = e_1 * 2^(FIELD_BITS*(n-1)) + ... + e_(n-1) * 2^FIELD_BITS + e_n.
+
+While every digit lies in [-2^(FIELD_BITS-1), 2^(FIELD_BITS-1)), the vector
+can be read back from the key, adding two keys adds the two vectors (so
+multiplies the monomials), and the order of keys is the lex order of the
+vectors.  Every polynomial keeps its exponents below EXPONENT_LIMIT =
+2^(FIELD_BITS-2) in absolute value, a quarter of the field range, so the
+sum of two keys and every difference that ``exact_div`` tests stay inside
+the fields.  Each polynomial carries an upper bound on the absolute values
+of its exponents, updated in O(1) per operation; a result whose bound
+reaches the limit has its exponents read off exactly, and raises
+``ExponentOverflow`` if one of them reaches it.  The parser's ceiling on
+tokens per diagram (``diagram.MAX_TOKENS``) keeps every exponent met in
+computing the invariants below the limit.  Keys are unpacked only off
+the hot paths: in the tuple-keyed ``terms`` view (which rendering,
+``from_raw`` and ``to_full_poly`` read), in ``exponent_range`` and
+``subs_one``, and once per divisor in ``exact_div``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
-from operator import add, le, neg, sub
+from functools import cached_property, lru_cache
 
 
 class VariableSetMismatch(ValueError):
@@ -72,18 +95,83 @@ class RingMismatch(ValueError):
     """Raised when comparing or combining values from different rings."""
 
 
+class ExponentOverflow(OverflowError):
+    """Raised when an exponent could reach EXPONENT_LIMIT in absolute value."""
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 
+FIELD_BITS = 32
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 2)
+_HALF = 1 << (FIELD_BITS - 1)
+_MASK = (1 << FIELD_BITS) - 1
+
+
+@lru_cache(maxsize=None)
+def _layout(n):
+    """For n variables: the shift of each field, first variable highest; the
+    key with every entry 1; and the top bit of every field."""
+    shifts = tuple(FIELD_BITS * i for i in range(n - 1, -1, -1))
+    ones = sum(1 << s for s in shifts)
+    return shifts, ones, _HALF * ones
+
+
+def _pack(vec):
+    """The key of an exponent vector: its entries as signed digits in base 2^FIELD_BITS."""
+    key = 0
+    for e in vec:
+        key = (key << FIELD_BITS) + e
+    return key
+
+
+def _unpack(key, n):
+    shifts, _, top = _layout(n)
+    u = key + top
+    return tuple([((u >> s) & _MASK) - _HALF for s in shifts])
+
+
+def _poly(vars, packed, bound):
+    """A LaurentPoly over packed terms whose exponents are at most ``bound`` in absolute value.
+
+    The terms come from operands whose exponents lie below EXPONENT_LIMIT,
+    so no key has carried out of a field; a bound at or past the limit is
+    replaced by the exact one, read off the terms.
+    """
+    if bound >= EXPONENT_LIMIT:
+        n = len(vars)
+        bound = max((max(map(abs, _unpack(k, n))) for k in packed), default=0)
+        if bound >= EXPONENT_LIMIT:
+            raise ExponentOverflow(f"exponent {bound} is past the limit {EXPONENT_LIMIT - 1}")
+    poly = object.__new__(LaurentPoly)
+    poly.vars, poly._terms, poly._bound, poly._div = vars, packed, bound, None
+    return poly
+
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: map exponent vector -> nonzero int."""
+    """Sparse Laurent polynomial: map exponent vector -> nonzero int.
 
-    __slots__ = ("vars", "terms")
+    ``_terms`` keys each term by its packed exponent vector (see the module
+    docstring), so that adding keys multiplies monomials and comparing keys
+    is lex order; ``terms`` is the same map keyed by exponent tuples.
+    ``_bound`` bounds the absolute value of every exponent and stays below
+    EXPONENT_LIMIT; ``_div`` keeps what ``exact_div`` reads off a divisor.
+    """
+
+    __slots__ = ("vars", "_terms", "_bound", "_div")
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
-        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+        n = len(self.vars)
+        self._terms, self._bound, self._div = {}, 0, None
+        for vec, c in (terms or {}).items():
+            if len(vec) != n:
+                raise ValueError(f"exponent vector {vec} for variables {self.vars}")
+            if c:
+                self._bound = max(self._bound, max(map(abs, vec), default=0))
+                self._terms[_pack(vec)] = c
+        if self._bound >= EXPONENT_LIMIT:
+            raise ExponentOverflow(f"exponent {self._bound} is past the limit {EXPONENT_LIMIT - 1}")
 
     # -- constructors
 
@@ -107,15 +195,37 @@ class LaurentPoly:
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self._terms
+
+    @property
+    def terms(self):
+        """The terms keyed by exponent tuples (a fresh dict)."""
+        n = len(self.vars)
+        return {_unpack(k, n): c for k, c in self._terms.items()}
+
+    def _extent(self, i):
+        """(lowest, highest) exponent of the i-th variable; nonzero polys only."""
+        shifts, _, top = _layout(len(self.vars))
+        col = [((k + top) >> shifts[i]) & _MASK for k in self._terms]
+        return min(col) - _HALF, max(col) - _HALF
+
+    def _as_divisor(self):
+        """(terms, leading key and coefficient, packed lowest and highest
+        exponents, reach) of a nonzero divisor, computed once; see exact_div."""
+        if self._div is None:
+            ranges = [self._extent(i) for i in range(len(self.vars))]
+            terms = list(self._terms.items())
+            lead, lead_c = max(terms)
+            reach = max((max(lo, -hi) for lo, hi in ranges), default=0)
+            lo, hi = _pack(r[0] for r in ranges), _pack(r[1] for r in ranges)
+            self._div = (terms, lead, lead_c, lo, hi, reach)
+        return self._div
 
     def exponent_range(self, var):
         """(min, max) exponent of var over all terms; None for zero poly."""
-        if not self.terms:
+        if not self._terms:
             return None
-        i = self.vars.index(var)
-        es = [k[i] for k in self.terms]
-        return min(es), max(es)
+        return self._extent(self.vars.index(var))
 
     # -- arithmetic
 
@@ -125,38 +235,36 @@ class LaurentPoly:
 
     def __add__(self, other):
         self._check(other)
-        r = dict(self.terms)
-        for k, v in other.terms.items():
+        r = dict(self._terms)
+        for k, v in other._terms.items():
             nv = r.get(k, 0) + v
             if nv:
                 r[k] = nv
             elif k in r:
                 del r[k]
-        return LaurentPoly(self.vars, r)
+        return _poly(self.vars, r, max(self._bound, other._bound))
 
     def __neg__(self):
-        return LaurentPoly(self.vars, {k: -v for k, v in self.terms.items()})
+        return _poly(self.vars, {k: -v for k, v in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        if not self.terms or not other.terms:
+        a, b = self._terms, other._terms
+        if not a or not b:
             return LaurentPoly(self.vars)
-        a, b = self.terms, other.terms
+        bound = self._bound + other._bound
         if len(a) > len(b):
             a, b = b, a
         r = {}
+        get = r.get
         for k1, v1 in a.items():
             for k2, v2 in b.items():
-                k = tuple(map(add, k1, k2))
-                nv = r.get(k, 0) + v1 * v2
-                if nv:
-                    r[k] = nv
-                elif k in r:
-                    del r[k]
-        return LaurentPoly(self.vars, r)
+                k = k1 + k2
+                r[k] = get(k, 0) + v1 * v2
+        return _poly(self.vars, {k: v for k, v in r.items() if v}, bound)
 
     def __pow__(self, n):
         if n < 0:
@@ -166,8 +274,9 @@ class LaurentPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def exact_div(self, divisor):
@@ -177,68 +286,78 @@ class LaurentPoly:
         that of the divisor, because the coefficients lie in the domain Z.
         For the same reason the lowest and highest exponent of each variable
         add under multiplication, so every term of h lies in the box
-        [min self - min divisor, max self - max divisor].  The peeled
-        quotient terms strictly decrease in lex order, so a term outside the
-        box, or an integer quotient with a remainder, proves the division
-        inexact; the loop ends on every input.
+        [min self - min divisor, max self - max divisor], and so in the box
+        [-e - min divisor, e - max divisor] for e the bound on self's
+        exponents, which needs no pass over self's terms.  The peeled
+        quotient terms strictly decrease in lex order, so a term outside
+        that box, or an integer quotient with a remainder, proves the
+        division inexact; the loop ends on every input.
+
+        The box test runs on packed keys (Monagan and Pearce's divisibility
+        test): a key d lies in the box [lo, hi] exactly when neither d - lo
+        nor hi - d has the top bit of any field set.  That holds because all
+        exponents lie below a quarter of the field range, so every field of
+        the two differences lies within half of it.
         """
         self._check(divisor)
-        if not divisor.terms:
+        if not divisor._terms:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self.terms:
+        if not self._terms:
             return LaurentPoly(self.vars)
-        if len(divisor.terms) == 1:  # a monomial: shift every exponent
-            ((g, c),) = divisor.terms.items()
-            if any(v % c for v in self.terms.values()):
+        # With e bounding self's exponents, each variable's exponent in h
+        # lies in [-e - min divisor, e - max divisor]; its absolute value is
+        # then at most e + reach, reach = max(min divisor, -max divisor)
+        # over the variables.
+        e = self._bound
+        div, lead, lead_c, g_lo, g_hi, reach = divisor._as_divisor()
+        if len(div) == 1:  # a monomial: shift every exponent
+            if any(v % lead_c for v in self._terms.values()):
                 raise ValueError("division is not exact")
-            return LaurentPoly(self.vars, {tuple(map(sub, k, g)): v // c for k, v in self.terms.items()})
-        # Work on negated exponents, so that heapq's minimum is the lex maximum.
-        rem = {tuple(map(neg, k)): c for k, c in self.terms.items()}
-        div = [(tuple(map(neg, k)), c) for k, c in divisor.terms.items()]
-        lead, lead_c = min(div)
-        # h's box [min f - min g, max f - max g], negated
-        f_cols, g_cols = list(zip(*self.terms)), list(zip(*divisor.terms))
-        lo = tuple(max(g) - max(f) for f, g in zip(f_cols, g_cols))
-        hi = tuple(min(g) - min(f) for f, g in zip(f_cols, g_cols))
-        heap = list(rem)
+            return _poly(self.vars, {k - lead: v // lead_c for k, v in self._terms.items()}, e + reach)
+        _, ones, guard = _layout(len(self.vars))
+        lo, hi = -e * ones - g_lo, e * ones - g_hi
+        rem = dict(self._terms)
+        heap = [-k for k in rem]  # heapq's minimum is then the lex maximum
         heapq.heapify(heap)
         quot = {}
         while heap:
-            top = heapq.heappop(heap)
+            top = -heapq.heappop(heap)
             c = rem.get(top)
             if c is None:
                 continue  # a stale copy of a term that has cancelled
             q, r = divmod(c, lead_c)
-            delta = tuple(map(sub, top, lead))
-            if r or not (all(map(le, lo, delta)) and all(map(le, delta, hi))):
+            d = top - lead
+            if r or ((d - lo) | (hi - d)) & guard:
                 raise ValueError("division is not exact")
-            quot[tuple(map(neg, delta))] = q
+            quot[d] = q
             for k, v in div:
-                key = tuple(map(add, delta, k))
+                key = d + k
                 old = rem.get(key)
                 if old is None:
                     rem[key] = -q * v
-                    heapq.heappush(heap, key)
+                    heapq.heappush(heap, -key)
                 elif old == q * v:
                     del rem[key]
                 else:
                     rem[key] = old - q * v
-        return LaurentPoly(self.vars, quot)
+        return _poly(self.vars, quot, e + reach)
 
     # -- substitutions
 
     def subs_one(self, var):
         """Set var = 1."""
-        i = self.vars.index(var)
+        shifts, _, top = _layout(len(self.vars))
+        shift = shifts[self.vars.index(var)]
         r = {}
-        for k, v in self.terms.items():
-            key = k[:i] + (0,) + k[i + 1 :]
+        for k, v in self._terms.items():
+            e = (((k + top) >> shift) & _MASK) - _HALF
+            key = k - (e << shift)
             nv = r.get(key, 0) + v
             if nv:
                 r[key] = nv
             elif key in r:
                 del r[key]
-        return LaurentPoly(self.vars, r)
+        return _poly(self.vars, r, self._bound)
 
     # -- ordering / rendering
 
@@ -253,7 +372,7 @@ class LaurentPoly:
         return st[0][1] if st else 0
 
     def render(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for exps, coef in self.sorted_terms():
@@ -281,7 +400,7 @@ class LaurentPoly:
         return (
             isinstance(other, LaurentPoly)
             and self.vars == other.vars
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     __hash__ = None
@@ -390,14 +509,16 @@ class QElement:
     for the element A + B*q.  The maps are ring homomorphisms and jointly
     injective (see the module docstring), so sums, products and equality
     act per component.  The canonical pair (A, B) that ``render`` prints is
-    rebuilt from the parts on demand by ``canonical_pair``.
+    rebuilt from the parts by ``canonical_pair`` the first time it is asked
+    for and kept in ``_pair``; negation carries it over.
     """
 
-    __slots__ = ("ring", "parts")
+    __slots__ = ("ring", "parts", "_pair")
 
-    def __init__(self, ring, parts):
+    def __init__(self, ring, parts, pair=None):
         self.ring = ring
         self.parts = parts
+        self._pair = pair
 
     def _check(self, other):
         if not isinstance(other, QElement) or other.ring != self.ring:
@@ -412,7 +533,8 @@ class QElement:
         return QElement(self.ring, tuple(x + y for x, y in zip(self.parts, other.parts)))
 
     def __neg__(self):
-        return QElement(self.ring, tuple(-x for x in self.parts))
+        pair = None if self._pair is None else (-self._pair[0], -self._pair[1])
+        return QElement(self.ring, tuple(-x for x in self.parts), pair)
 
     def __sub__(self, other):
         return self + (-other)
@@ -459,6 +581,8 @@ class QElement:
             r1     = (psi3 + psi4 - 2*psi1) / (2*(t-1)),    r0 = psi1 - r1
             Q1     = (psi2 - r0(t=1) - r1(t=1)*p) / (p-1)^2
         """
+        if self._pair is not None:
+            return self._pair
         psi1, psi2, psi3, psi4 = self.parts
         vars = self.ring.vars
         one = LaurentPoly.const(vars, 1)
@@ -469,7 +593,8 @@ class QElement:
         r0 = psi1 - r1
         rest = psi2 - r0.subs_one("t") - r1.subs_one("t") * p
         q1 = rest.exact_div((p - one) * (p - one))
-        return q1 * (p - one) * (p - t) + r0 + r1 * p, b
+        self._pair = (q1 * (p - one) * (p - t) + r0 + r1 * p, b)
+        return self._pair
 
     @property
     def a(self):
@@ -600,7 +725,7 @@ def _bareiss_det(rows, vars):
         candidates = [i for i in range(k, n) if k in rows[i]]
         if not candidates:
             return LaurentPoly.zero(vars)
-        i = min(candidates, key=lambda i: (len(rows[i]), len(rows[i][k].terms), i))
+        i = min(candidates, key=lambda i: (len(rows[i]), len(rows[i][k]._terms), i))
         if i != k:
             rows[i], rows[k] = rows[k], rows[i]
             level[i], level[k] = level[k], level[i]
@@ -618,7 +743,7 @@ def _bareiss_det(rows, vars):
             new = {j: pivot * e for j, e in row.items()}
             for j, e in prow.items():
                 new[j] = new[j] - a * e if j in new else -(a * e)
-            rows[i] = {j: _div_by_pivot(e, pivots, level[i]) for j, e in new.items() if e.terms}
+            rows[i] = {j: _div_by_pivot(e, pivots, level[i]) for j, e in new.items() if e._terms}
             level[i] = k
     return pivots[n - 1] if sign > 0 else -pivots[n - 1]
 

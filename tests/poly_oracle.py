@@ -1,0 +1,102 @@
+"""Tuple-keyed Laurent arithmetic, kept as a test oracle for the packed keys
+of ``knotparity.rings.LaurentPoly``.
+
+These are the sum, product and exact division the package used before each
+exponent vector was packed into one int: every term is keyed by its exponent
+tuple, a product builds the tuple of sums, and exact division checks each
+peeled quotient term against the box of exponents the quotient can have.
+They read and build polynomials only through the tuple-keyed ``terms`` view
+and the constructor, so they share no arithmetic with the package.
+"""
+
+import heapq
+from operator import add, le, neg, sub
+
+from knotparity.rings import LaurentPoly, VariableSetMismatch
+
+
+def _check(x, y):
+    if x.vars != y.vars:
+        raise VariableSetMismatch(f"{x.vars} vs {y.vars}")
+
+
+def oracle_add(x, y):
+    _check(x, y)
+    r = dict(x.terms)
+    for k, v in y.terms.items():
+        nv = r.get(k, 0) + v
+        if nv:
+            r[k] = nv
+        elif k in r:
+            del r[k]
+    return LaurentPoly(x.vars, r)
+
+
+def oracle_mul(x, y):
+    _check(x, y)
+    if x.is_zero or y.is_zero:
+        return LaurentPoly(x.vars)
+    a, b = x.terms, y.terms
+    if len(a) > len(b):
+        a, b = b, a
+    r = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = tuple(map(add, k1, k2))
+            nv = r.get(k, 0) + v1 * v2
+            if nv:
+                r[k] = nv
+            elif k in r:
+                del r[k]
+    return LaurentPoly(x.vars, r)
+
+
+def oracle_exact_div(x, divisor):
+    """The quotient h with x == h * divisor; raises ValueError if none.
+
+    Peels lex-leading terms, each checked against the box
+    [min x - min divisor, max x - max divisor] of exponents of h.
+    """
+    _check(x, divisor)
+    if divisor.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if x.is_zero:
+        return LaurentPoly(x.vars)
+    f_terms, g_terms = x.terms, divisor.terms
+    if len(g_terms) == 1:  # a monomial: shift every exponent
+        ((g, c),) = g_terms.items()
+        if any(v % c for v in f_terms.values()):
+            raise ValueError("division is not exact")
+        return LaurentPoly(x.vars, {tuple(map(sub, k, g)): v // c for k, v in f_terms.items()})
+    # Work on negated exponents, so that heapq's minimum is the lex maximum.
+    rem = {tuple(map(neg, k)): c for k, c in f_terms.items()}
+    div = [(tuple(map(neg, k)), c) for k, c in g_terms.items()]
+    lead, lead_c = min(div)
+    # h's box [min f - min g, max f - max g], negated
+    f_cols, g_cols = list(zip(*f_terms)), list(zip(*g_terms))
+    lo = tuple(max(g) - max(f) for f, g in zip(f_cols, g_cols))
+    hi = tuple(min(g) - min(f) for f, g in zip(f_cols, g_cols))
+    heap = list(rem)
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        top = heapq.heappop(heap)
+        c = rem.get(top)
+        if c is None:
+            continue  # a stale copy of a term that has cancelled
+        q, r = divmod(c, lead_c)
+        delta = tuple(map(sub, top, lead))
+        if r or not (all(map(le, lo, delta)) and all(map(le, delta, hi))):
+            raise ValueError("division is not exact")
+        quot[tuple(map(neg, delta))] = q
+        for k, v in div:
+            key = tuple(map(add, delta, k))
+            old = rem.get(key)
+            if old is None:
+                rem[key] = -q * v
+                heapq.heappush(heap, key)
+            elif old == q * v:
+                del rem[key]
+            else:
+                rem[key] = old - q * v
+    return LaurentPoly(x.vars, quot)
