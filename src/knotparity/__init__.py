@@ -26,7 +26,6 @@ from .parity import chord_data, gaussian_parity, hierarchy_types, parity_map
 from .rings import (
     LaurentPoly,
     QuotientRing,
-    RawRing,
     det,
     g_ring,
     rprime_ring,
@@ -63,7 +62,6 @@ __all__ = [
     "parity_map",
     "LaurentPoly",
     "QuotientRing",
-    "RawRing",
     "det",
     "g_ring",
     "rprime_ring",

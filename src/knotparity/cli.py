@@ -12,6 +12,7 @@ or a Distinct verdict under --expect-equivalent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -202,7 +203,9 @@ def _int_at_least(low):
     return integer
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; each parse fills a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="knotparity",
         description="Parity-based polynomial invariants of knots in thickened "

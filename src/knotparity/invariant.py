@@ -32,7 +32,6 @@ from .parity import parity_map, hierarchy_types
 
 EQUIVALENT = "EquivalentUpToUnits"
 DISTINCT = "Distinct"
-INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
@@ -108,14 +107,12 @@ def make_value(tag, elem):
 
 def s_invariant(d):
     """Determinant invariant of a surface diagram, canonicalized."""
-    m = build_M(d, parity_map(d))
-    return make_value("G", rings.det(list(map(list, m.entries)), m.ring))
+    return make_value("G", build_M(d, parity_map(d)).det())
 
 
 def nprime_invariant(d):
     """Hierarchy invariant of a Gauss diagram, canonicalized."""
-    m = build_Npp(d, hierarchy_types(d))
-    return make_value("Rprime", rings.det(list(map(list, m.entries)), m.ring))
+    return make_value("Rprime", build_Npp(d, hierarchy_types(d)).det())
 
 
 def n_presentation(d):

@@ -22,13 +22,40 @@ one routine, ``_fill``, from the arc tables of ``diagram.arcs`` and
 ``diagram.short_arcs``; the label monomial of an incidence is the product of
 the ring's extra variables (x1..x2g, or s) raised to its label entries.  The
 presentation matrix reads its generators from the same arc walk.
+
+All three matrices hold one entry type: plain ``LaurentPoly`` values over
+the free ring, ``ring.full_vars`` for the two determinant matrices and
+``RAW_VARS`` for the presentation.  The relations of a quotient ring matter
+only to a determinant, so ``InvariantMatrix.det`` maps the entries into it
+with ``QuotientRing.from_raw`` there and nowhere else.  Each entry of the
+two determinant matrices is a sum of role coefficients times label
+monomials, so it has p-degree and q-degree at most 1 and a p-free q-part:
+it is already the canonical pair of its image and renders as built.
+
+The invariant module of Section 4 lives over Rraw, the quotient of the free
+Laurent ring Z[t^±1, q, p^±1, s^±1, r^±1, w] (variables ``RAW_VARS``) by
+the eight relations
+
+    q(p-t) = 0           q^2 = (1-t)(1-p)
+    w(1-s) = 0           w(t-r) = 0         w(p-r) = 0
+    w(ps+q-1) = 0        w(r+q-1) = 0
+    w^2 = (1-t)(1-rs)    w^2 = q(1-rs)
+
+The presentation matrix is only exported, so it needs no arithmetic modulo
+them: its entries are the signed role monomials (-1, t, 1-t, p, q, s^±1,
+r^±1, w, -w/t), exported as built over the free ring.  The relations are
+checked only by the rewrite-system oracle in the tests
+(``tests/rraw_oracle.py``), which shows that reducing the exported entries
+would change none of them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import rings
+from .rings import RAW_VARS, LaurentPoly
 from .diagram import OVER, STOP, Passage, arcs, short_arcs, walk
 from .parity import EVEN
 
@@ -40,8 +67,8 @@ class ParityIncomplete(ValueError):
 @dataclass(frozen=True)
 class InvariantMatrix:
     tag: str              # "G" | "Rprime" | "Rraw"
-    ring: object
-    entries: tuple        # tuple of row tuples
+    ring: object          # the QuotientRing of the determinant; None for "Rraw"
+    entries: tuple        # tuple of row tuples of LaurentPoly
     row_keys: tuple
     col_keys: tuple
 
@@ -60,14 +87,25 @@ class InvariantMatrix:
                     out.append((rk, ck, e.render()))
         return out
 
+    def det(self):
+        """The determinant in ``ring``.
 
-def _role_table(ring):
-    """(even_like, sign > 0) -> {role: coefficient}, by the rules in the module docstring."""
-    one, t = ring.one(), ring.element(t=1)
+        Every entry enters the ring through ``from_raw``; the empty cells
+        share one mapped zero.
+        """
+        ring = self.ring
+        zero = ring.from_raw(LaurentPoly.zero(ring.full_vars))
+        rows = [[zero if e.is_zero else ring.from_raw(e) for e in row] for row in self.entries]
+        return rings.det(rows, ring)
+
+
+def _role_table(vars):
+    """(even_like, sign > 0) -> {role: coefficient over ``vars``}, by the module docstring's rules."""
+    one, t = LaurentPoly.const(vars, 1), LaurentPoly.monomial(vars, t=1)
     table = {}
     for even_like, in_pos, over in (
         (True, t, one - t),
-        (False, ring.element(p=1), ring.element(q=1)),
+        (False, LaurentPoly.monomial(vars, p=1), LaurentPoly.monomial(vars, q=1)),
     ):
         table[even_like, True] = {"out": -one, "in": in_pos, "over": over}
         table[even_like, False] = {"out": in_pos, "in": -one, "over": over}
@@ -78,11 +116,12 @@ def _fill(ring, table, keys, coef):
     """Square grid over ``keys``: arc j adds coef(inc) * label monomial at row inc.
 
     Rows and columns are both indexed by ``keys``, the (kind, id) sites in
-    display order; arc columns are keyed by their origin.  Empty cells share
-    one zero.
+    display order; arc columns are keyed by their origin.  Entries are
+    polynomials over ``ring.full_vars``; empty cells share one zero.
     """
+    vars = ring.full_vars
     idx = {k: i for i, k in enumerate(keys)}
-    zero = ring.zero()
+    zero = LaurentPoly.zero(vars)
     grid = [[zero] * len(keys) for _ in keys]
     monomials = {}
     for arc in table.arcs:
@@ -90,7 +129,7 @@ def _fill(ring, table, keys, coef):
         for inc in arc.incidences:
             i = idx[inc.site_kind, inc.site]
             if inc.label not in monomials:
-                monomials[inc.label] = ring.element(1, **dict(zip(ring.extras, inc.label)))
+                monomials[inc.label] = LaurentPoly.monomial(vars, **dict(zip(ring.extras, inc.label)))
             grid[i][j] = grid[i][j] + coef(inc) * monomials[inc.label]
     return tuple(tuple(row) for row in grid)
 
@@ -109,8 +148,9 @@ def build_M(d, par):
         [("crossing", c) for c in sorted(d.crossings)]
         + [("vertex", v) for v in sorted(d.vertex_ids)]
     )
-    roles = _role_table(ring)
-    vertex_roles = {"out": -ring.one(), "in": ring.one()}
+    roles = _role_table(ring.full_vars)
+    one = LaurentPoly.const(ring.full_vars, 1)
+    vertex_roles = {"out": -one, "in": one}
 
     def coef(inc):
         if inc.site_kind == "vertex":
@@ -130,7 +170,7 @@ def build_Npp(d, types):
     ring = rings.rprime_ring()
     table = short_arcs(d, types)
     keep = tuple(sorted(c for c in d.crossings if types[c] != 0))
-    roles = _role_table(ring)
+    roles = _role_table(ring.full_vars)
 
     def coef(inc):
         return roles[types[inc.site] == 2, d.sign_of(inc.site) > 0][inc.role]
@@ -153,28 +193,24 @@ _G_PLUS = {"w": 1}
 _G_MINUS = {"w": 1, "t": -1}
 
 
-def _type0_coeffs(ring, sign):
+def _type0_coeffs(sign):
+    """(s^e, g_e * w, r^e) over ``RAW_VARS`` for a type-0 crossing of sign e."""
+    mono = functools.partial(LaurentPoly.monomial, RAW_VARS)
     if sign > 0:
-        under_in = ring.element(s=1)
-        over_mix = ring.element(1, **_G_PLUS)
-        over_in = ring.element(r=1)
-    else:
-        under_in = ring.element(s=-1)
-        over_mix = ring.element(-1, **_G_MINUS)
-        over_in = ring.element(r=-1)
-    return under_in, over_mix, over_in
+        return mono(s=1), mono(1, **_G_PLUS), mono(r=1)
+    return mono(s=-1), mono(-1, **_G_MINUS), mono(r=-1)
 
 
 def build_N_presentation(d, types):
-    """Presentation matrix of the invariant module over the big ring.
+    """Presentation matrix of the invariant module over the free ring on ``RAW_VARS``.
 
     Generators are the short arcs broken at every classical under-passage
     and at type-0 over-passages, keyed ("u", c) and ("o", c) by the passage
     they leave, in token order; type-1/2 crossings contribute a single row
     with the usual role labels, type-0 crossings two rows expressing both
-    emanating arcs in the incoming ones.
+    emanating arcs in the incoming ones.  The matrix has no determinant, so
+    its ``ring`` is None.
     """
-    ring = rings.RawRing()
 
     def action(tok):
         if not isinstance(tok, Passage):
@@ -195,7 +231,7 @@ def build_N_presentation(d, types):
             else:
                 ends[inc.site_kind, inc.site] = gen
 
-    zero = ring.zero()
+    zero = LaurentPoly.zero(RAW_VARS)
     rows, row_keys = [], []
 
     def add_row(key, *terms):
@@ -205,8 +241,8 @@ def build_N_presentation(d, types):
         rows.append(tuple(row))
         row_keys.append(key)
 
-    roles = _role_table(ring)
-    minus = -ring.one()
+    roles = _role_table(RAW_VARS)
+    minus = LaurentPoly.const(RAW_VARS, -1)
     for c in sorted(d.crossings):
         sign = d.sign_of(c)
         under, over = ("u", c), ("o", c)
@@ -215,8 +251,8 @@ def build_N_presentation(d, types):
             add_row(("rel", c), (under, coef["out"]), (ends[under], coef["in"]),
                     (overs[c], coef["over"]))
         else:
-            under_in, over_mix, over_in = _type0_coeffs(ring, sign)
+            under_in, over_mix, over_in = _type0_coeffs(sign)
             add_row(("rel-under", c), (under, minus), (ends[under], under_in))
             add_row(("rel-over", c), (over, minus), (ends[under], over_mix),
                     (ends[over], over_in))
-    return InvariantMatrix("Rraw", ring, tuple(rows), tuple(row_keys), gens)
+    return InvariantMatrix("Rraw", None, tuple(rows), tuple(row_keys), gens)

@@ -61,6 +61,9 @@ class MoveInstance:
 
 _R3_CASES = {(2, 2, 2), (0, 0, 1), (0, 0, 2), (1, 1, 2)}
 
+# Insertion gaps (R1+, Subdivide) and R2+ sites sampled per diagram.
+INSERTION_SAMPLES = 2
+
 
 def _adjacent_passage_pairs(d):
     """Cyclically adjacent token pairs that are both crossing passages."""
@@ -76,7 +79,7 @@ def _adjacent_passage_pairs(d):
     return out
 
 
-def applicable(d, rng=None, insertion_samples=2):
+def applicable(d, rng=None):
     """Move instances applicable to a diagram.
 
     Removal-type sites (R1-, R2-, R3, SidePass) are enumerated exhaustively;
@@ -122,11 +125,11 @@ def applicable(d, rng=None, insertion_samples=2):
 
     gaps = list(range(n + 1)) if n else [0]
     if rng is None:
-        chosen = [gaps[0], gaps[len(gaps) // 2]][: max(1, min(insertion_samples, len(gaps)))]
+        chosen = [gaps[0], gaps[len(gaps) // 2]][: min(INSERTION_SAMPLES, len(gaps))]
         r1_variants = [("OU", 1), ("UO", -1)]
         r2_specs = [(gaps[0], gaps[len(gaps) // 2], True, True, 1)]
     else:
-        chosen = [rng.choice(gaps) for _ in range(insertion_samples)]
+        chosen = [rng.choice(gaps) for _ in range(INSERTION_SAMPLES)]
         r1_variants = [
             (rng.choice(("OU", "UO")), rng.choice((1, -1))) for _ in chosen
         ]
@@ -138,7 +141,7 @@ def applicable(d, rng=None, insertion_samples=2):
                 rng.random() < 0.5,
                 rng.choice((1, -1)),
             )
-            for _ in range(insertion_samples)
+            for _ in range(INSERTION_SAMPLES)
         ]
     for gap, (order, sign) in zip(chosen, r1_variants * len(chosen)):
         out.append(MoveInstance("R1+", (gap, order, sign)))

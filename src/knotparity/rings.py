@@ -14,9 +14,10 @@ Two layers live here:
 
   on the free Laurent ring.
 
-``RawRing`` names the free Laurent ring over t, p, q, s, r, w (tag
-``"Rraw"``) whose elements are plain ``LaurentPoly`` values; it only carries
-the presentation-matrix export (see its docstring).
+Matrices are built over the free Laurent ring on ``full_vars`` (or on
+``RAW_VARS``, the variables t, p, q, s, r, w of the module presentation,
+whose relations are listed in ``matrix``) and enter a quotient ring only
+through its one ring map, ``QuotientRing.from_raw``.
 
 The quotient rings by their specializations.  The two relations let every
 element be written A + B*q with B free of p (q*p = q*t), and they force
@@ -72,8 +73,8 @@ reaches the limit has its exponents read off exactly, and raises
 tokens per diagram (``diagram.MAX_TOKENS``) keeps every exponent met in
 computing the invariants below the limit.  Keys are unpacked only off
 the hot paths: in the tuple-keyed ``terms`` view (which rendering,
-``from_raw`` and ``to_full_poly`` read), in ``exponent_range`` and
-``subs_one``, and once per divisor in ``exact_div``.
+``to_full_poly`` and ``from_raw``, once per matrix entry, read), in
+``exponent_range`` and ``subs_one``, and once per divisor in ``exact_div``.
 """
 
 from __future__ import annotations
@@ -624,49 +625,10 @@ class QElement:
 
 
 # ---------------------------------------------------------------------------
-# The bigger ring for the module presentation (tag "Rraw")
+# Variables of the module presentation (its relations are listed in ``matrix``)
 
 
 RAW_VARS = ("t", "p", "q", "s", "r", "w")
-
-
-class RawRing:
-    """The free Laurent ring Z[t^±1, q, p^±1, s^±1, r^±1, w] (tag ``"Rraw"``).
-
-    The invariant module of Section 4 lives over its quotient by the eight
-    relations
-
-        q(p-t) = 0           q^2 = (1-t)(1-p)
-        w(1-s) = 0           w(t-r) = 0         w(p-r) = 0
-        w(ps+q-1) = 0        w(r+q-1) = 0
-        w^2 = (1-t)(1-rs)    w^2 = q(1-rs)
-
-    but its only consumer, the presentation-matrix export, needs no
-    arithmetic modulo them: the builder only adds the signed role monomials
-    (-1, t, 1-t, p, q, s^±1, r^±1, w, -w/t), so the entries are exported as
-    built, as plain ``LaurentPoly`` values over ``RAW_VARS``.  The relations
-    are checked only by the rewrite-system oracle in the tests
-    (``tests/rraw_oracle.py``), which shows that reducing the exported
-    entries would change none of them.
-    """
-
-    tag = "Rraw"
-    vars = RAW_VARS
-
-    def zero(self):
-        return LaurentPoly.zero(RAW_VARS)
-
-    def one(self):
-        return LaurentPoly.const(RAW_VARS, 1)
-
-    def element(self, coef=1, **exps):
-        return LaurentPoly.monomial(RAW_VARS, coef, **exps)
-
-    def __repr__(self):
-        return "RawRing()"
-
-    def __eq__(self, other):
-        return isinstance(other, RawRing)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ only when they return True.  A False proves nothing; for instance
 ``w*(w*(1-s))`` reduces to 0 while ``(w*w)*(1-s)`` reduces to an 8-term
 polynomial, although the two are the same element.
 
-The package exports the presentation matrix over the free Laurent ring
-(``knotparity.rings.RawRing``) and never reduces; the tests use this module
-to check that reduction would leave every exported entry unchanged, and to
+The package exports the presentation matrix over the free Laurent ring on
+``knotparity.rings.RAW_VARS`` (the module docstring of ``knotparity.matrix``
+lists the relations too) and never reduces; the tests use this module to
+check that reduction would leave every exported entry unchanged, and to
 check identities of the transfer matrices modulo the relations.
 """
 

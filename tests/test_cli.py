@@ -109,3 +109,17 @@ def test_verify_rejects_out_of_range_arguments(capsys):
         assert run(["verify", "--seed", "1", *bad]) == 1, bad
         err = capsys.readouterr().err
         assert "usage:" in err and "must be at least" in err and "Traceback" not in err
+
+
+def test_consecutive_runs_share_no_parsed_state(capsys):
+    # the parser is built once per process; each run parses into a fresh
+    # namespace, so flags of one call never reach the next
+    assert run(["invariant", "--type", "s", PAIR, "--json"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert run(["invariant", "--type", "nprime", GAUSS]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("trefoil: ")
+    assert run(["dump-matrix", "--type", "presentation", GAUSS]) == 0
+    assert capsys.readouterr().out.startswith("trefoil (Rraw, ")
+    assert run(["invariant", "--type", "s", PAIR]) == 0
+    assert capsys.readouterr().out.startswith("1.12: ")

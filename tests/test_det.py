@@ -23,8 +23,9 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _invariant_matrices(d):
+    """(matrix, its entries mapped into its ring, the ring) for both invariants."""
     for m in (build_M(d, parity_map(d)), build_Npp(d, hierarchy_types(d))):
-        yield [list(row) for row in m.entries], m.ring
+        yield m, [[m.ring.from_raw(e) for e in row] for row in m.entries], m.ring
 
 
 def _checked_det(rows, ring):
@@ -36,8 +37,8 @@ def _checked_det(rows, ring):
 def test_det_matches_berkowitz_on_fixtures():
     for fixture in ("torus_pair.surf", "sample.gauss"):
         for d in parse_file(FIXTURES / fixture)[0]:
-            for rows, ring in _invariant_matrices(d):
-                _checked_det(rows, ring)
+            for m, rows, ring in _invariant_matrices(d):
+                assert m.det() == _checked_det(rows, ring)
 
 
 def test_det_matches_berkowitz_on_random_diagrams():
@@ -45,8 +46,9 @@ def test_det_matches_berkowitz_on_random_diagrams():
     some_images_vanish = 0
     for _ in range(300):
         d = random_diagram(rng, rng.randint(2, 12), rng.randint(0, 2))
-        for rows, ring in _invariant_matrices(d):
+        for m, rows, ring in _invariant_matrices(d):
             value = _checked_det(rows, ring)
+            assert m.det() == value
             if not value.is_zero and any(x.is_zero for x in value.parts):
                 some_images_vanish += 1
     # the sweep reaches determinants that vanish in some images only
