@@ -64,9 +64,12 @@ class TooManyTokens(DiagramError):
 # The most tokens a parsed diagram may have.  With T tokens the matrices
 # have N <= T rows and entries whose exponents are at most max(2, S) in
 # absolute value, S <= T being the side-token count (or, for the virtual
-# matrix, the type-0 crossings); a product of two minors before a Bareiss
-# division then has exponents at most 2*N*max(2, S) <= 2*T^2 < 2^30, inside
-# the exponent limit of the packed Laurent polynomials (rings.EXPONENT_LIMIT).
+# matrix, the type-0 crossings), so a minor has exponents at most
+# N*max(2, S).  The determinant's unit steps leave minors divided by
+# monomial minors, at most 2*N*max(2, S), and a product of two of them
+# before a Bareiss division has exponents at most 4*N*max(2, S) <= 4*T^2
+# < 2^32, inside the exponent limit of the packed Laurent polynomials
+# (rings.EXPONENT_LIMIT).
 MAX_TOKENS = 20_000
 
 

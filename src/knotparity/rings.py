@@ -50,8 +50,11 @@ B, R = r0 + r1*p and Q at t=1 come back from the images by exact division by
 
 The quotient rings have zero divisors, but each image lies in a Laurent ring
 over Z, which is an integral domain.  So a determinant is computed image by
-image with fraction-free Gaussian elimination, whose every division is exact
-(see ``det``).
+image (see ``det`` and ``_bareiss_det``): first by plain Gaussian steps on
+pivots that are units of the Laurent ring (signed monomials such as -1, t or
+-p*x1^-2, which every crossing row of the invariant matrices holds), which
+need no division at all, then by fraction-free Bareiss elimination on the
+rows and columns left, whose every division is exact.
 
 Packed exponents (after Monagan and Pearce, "Parallel sparse polynomial
 multiplication using heaps", 2009).  A ``LaurentPoly`` over n variables keys
@@ -69,12 +72,22 @@ sum of two keys and every difference that ``exact_div`` tests stay inside
 the fields.  Each polynomial carries an upper bound on the absolute values
 of its exponents, updated in O(1) per operation; a result whose bound
 reaches the limit has its exponents read off exactly, and raises
-``ExponentOverflow`` if one of them reaches it.  The parser's ceiling on
-tokens per diagram (``diagram.MAX_TOKENS``) keeps every exponent met in
-computing the invariants below the limit.  Keys are unpacked only off
-the hot paths: in the tuple-keyed ``terms`` view (which rendering,
-``to_full_poly`` and ``from_raw``, once per matrix entry, read), in
-``exponent_range`` and ``subs_one``, and once per divisor in ``exact_div``.
+``ExponentOverflow`` if one of them reaches it.
+
+The parser's ceiling of T = 20 000 tokens per diagram
+(``diagram.MAX_TOKENS``) keeps every exponent met in computing the
+invariants below the limit.  A matrix then has N <= T rows and entries with
+exponents at most E = max(2, S) in absolute value, S <= T counting the side
+tokens (the type-0 crossings for the virtual matrix), so every k-minor has
+exponents at most k*E <= N*E.  An entry left by the unit steps, and every
+minor of the rest that Bareiss forms, is a minor of the matrix divided by a
+monomial minor (the product of the unit pivots so far): at most 2*N*E.  A
+product formed before a division multiplies two of them, so every
+intermediate stays within 4*N*E <= 4*T^2 = 1.6e9 < 2^32 = EXPONENT_LIMIT,
+which FIELD_BITS = 34 gives.  Keys are unpacked only off the hot paths: in
+the tuple-keyed ``terms`` view (which rendering and ``to_full_poly`` read),
+in ``exponent_range`` and ``subs_one``, and once per divisor in
+``exact_div``; ``from_raw`` reads each exponent it needs off its field.
 """
 
 from __future__ import annotations
@@ -82,6 +95,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
 
 
 class VariableSetMismatch(ValueError):
@@ -103,7 +117,7 @@ class ExponentOverflow(OverflowError):
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 
-FIELD_BITS = 32
+FIELD_BITS = 34
 EXPONENT_LIMIT = 1 << (FIELD_BITS - 2)
 _HALF = 1 << (FIELD_BITS - 1)
 _MASK = (1 << FIELD_BITS) - 1
@@ -450,28 +464,43 @@ class QuotientRing:
 
         A term c*t^a*p^b*q^k*x^e goes to c*t^a*x^e and c*p^b*x^e under psi1
         and psi2 when k = 0 (to 0 otherwise), and to c*t^(a+b)*x^e times
-        (1-t)^k under psi3 and (t-1)^k under psi4.
+        (1-t)^k under psi3 and (t-1)^k under psi4.  Every image key is
+        built from the packed key: a, b and k are read off their fields, and
+        what is left below the q field is the packed x^e, the low fields of
+        every image key.
         """
         if raw.vars != self.full_vars:
             raise VariableSetMismatch(f"{raw.vars} vs {self.full_vars}")
-        psi1, psi2, by_q = {}, {}, {}
-        for (te, pe, k, *rest), coef in raw.terms.items():
+        low = FIELD_BITS * len(self.extras)  # q's shift in full_vars, p's in vars
+        mid = low + FIELD_BITS  # p's shift in full_vars, t's in vars
+        high = mid + FIELD_BITS  # t's shift in full_vars
+        top = _layout(len(raw.vars))[2]
+        psi1, psi2, psi3, psi4 = {}, {}, {}, {}
+        bound = raw._bound
+        for key, c in raw._terms.items():
+            u = key + top
+            a = ((u >> high) & _MASK) - _HALF
+            b = ((u >> mid) & _MASK) - _HALF
+            k = ((u >> low) & _MASK) - _HALF
             if k < 0:
                 raise ValueError("q is not invertible")
-            rest = tuple(rest)
-            if k == 0:
-                _accumulate(psi1, (te, 0) + rest, coef)
-                _accumulate(psi2, (0, pe) + rest, coef)
-            _accumulate(by_q.setdefault(k, {}), (te + pe, 0) + rest, coef)
+            x = key - (a << high) - (b << mid) - (k << low)
+            if not k:
+                image = (a << mid) + x
+                psi1[image] = psi1.get(image, 0) + c
+                image = (b << low) + x
+                psi2[image] = psi2.get(image, 0) + c
+            bound = max(bound, abs(a + b), abs(a + b + k))
+            at_pt = ((a + b) << mid) + x
+            for i, to_psi3, to_psi4 in _q_power_images(k):
+                image = at_pt + (i << mid)
+                psi3[image] = psi3.get(image, 0) + c * to_psi3
+                psi4[image] = psi4.get(image, 0) + c * to_psi4
+        if bound >= EXPONENT_LIMIT:
+            raise ExponentOverflow(f"exponent {bound} is past the limit {EXPONENT_LIMIT - 1}")
         vars = self.vars
-        psi3 = psi4 = LaurentPoly.zero(vars)
-        for k, terms in by_q.items():
-            at_pt = LaurentPoly(vars, terms)
-            for _ in range(k):
-                at_pt = at_pt * self._one_minus_t
-            psi3 = psi3 + at_pt
-            psi4 = psi4 + (-at_pt if k % 2 else at_pt)
-        return QElement(self, (LaurentPoly(vars, psi1), LaurentPoly(vars, psi2), psi3, psi4))
+        parts = (psi1, psi2, psi3, psi4)
+        return QElement(self, tuple(_poly(vars, {k: v for k, v in d.items() if v}, bound) for d in parts))
 
     @cached_property
     def _one_minus_t(self):
@@ -482,8 +511,11 @@ class QuotientRing:
         return f"QuotientRing({self.tag})"
 
 
-def _accumulate(terms, key, coef):
-    terms[key] = terms.get(key, 0) + coef
+@lru_cache(maxsize=None)
+def _q_power_images(k):
+    """(i, coefficient of t^i in (1-t)^k, in (t-1)^k) for i = 0..k: the
+    images of q^k under psi3 and psi4."""
+    return tuple((i, (-1) ** i * comb(k, i), (-1) ** (k - i) * comb(k, i)) for i in range(k + 1))
 
 
 def g_ring(genus):
@@ -511,15 +543,17 @@ class QElement:
     injective (see the module docstring), so sums, products and equality
     act per component.  The canonical pair (A, B) that ``render`` prints is
     rebuilt from the parts by ``canonical_pair`` the first time it is asked
-    for and kept in ``_pair``; negation carries it over.
+    for and kept in ``_pair``, and its embedding in the free ring is kept in
+    ``_full`` by ``to_full_poly``; negation carries both over.
     """
 
-    __slots__ = ("ring", "parts", "_pair")
+    __slots__ = ("ring", "parts", "_pair", "_full")
 
-    def __init__(self, ring, parts, pair=None):
+    def __init__(self, ring, parts, pair=None, full=None):
         self.ring = ring
         self.parts = parts
         self._pair = pair
+        self._full = full
 
     def _check(self, other):
         if not isinstance(other, QElement) or other.ring != self.ring:
@@ -535,7 +569,8 @@ class QElement:
 
     def __neg__(self):
         pair = None if self._pair is None else (-self._pair[0], -self._pair[1])
-        return QElement(self.ring, tuple(-x for x in self.parts), pair)
+        full = None if self._full is None else -self._full
+        return QElement(self.ring, tuple(-x for x in self.parts), pair, full)
 
     def __sub__(self, other):
         return self + (-other)
@@ -607,6 +642,8 @@ class QElement:
 
     def to_full_poly(self):
         """Embed the canonical pair back into the free Laurent ring with explicit q."""
+        if self._full is not None:
+            return self._full
         a, b = self.canonical_pair()
         full = self.ring.full_vars
         qi = full.index("q")
@@ -615,7 +652,8 @@ class QElement:
             terms[k[:qi] + (0,) + k[qi:]] = v
         for k, v in b.terms.items():
             terms[k[:qi] + (1,) + k[qi:]] = v
-        return LaurentPoly(full, terms)
+        self._full = LaurentPoly(full, terms)
+        return self._full
 
     def render(self):
         return self.to_full_poly().render()
@@ -639,8 +677,9 @@ def det(rows, ring):
     """Determinant of a square matrix of ``QElement`` over ``ring``.
 
     The four ring maps are homomorphisms, so the determinant's images are
-    the determinants of the four image matrices; each is computed by
-    fraction-free elimination over its Laurent ring (``_bareiss_det``).
+    the determinants of the four image matrices; each is computed over its
+    Laurent ring by Gaussian steps on unit pivots, then fraction-free
+    elimination on the rest (``_bareiss_det``).
     The 0x0 determinant is the ring one.
     """
     n = len(rows)
@@ -663,6 +702,91 @@ def det(rows, ring):
 
 def _bareiss_det(rows, vars):
     """Determinant over an integral domain of Laurent polynomials.
+
+    ``rows`` is a square matrix as sparse rows {column: nonzero entry}, and
+    is consumed.  Two phases.
+
+    Phase 1 is plain Gaussian elimination on unit pivots.  A unit of the
+    Laurent ring is one term with coefficient +-1, whose inverse is a
+    monomial; every crossing row of the invariant matrices holds one (-1 on
+    an under-arc).  While some live row holds a unit, the one of lowest
+    Markowitz (1957) cost (r - 1)*(c - 1) is the pivot, r the nonzero count
+    of its row and c that of its column over live rows, ties going to the
+    lowest (row, column).  The pivot row is multiplied by the pivot's
+    inverse, and a times it is subtracted from every live row holding a in
+    the pivot column: no division, and no growth but what the products
+    bring.  A row that empties makes the determinant zero.
+
+    Phase 2 runs ``_bareiss_loop`` on the rows and columns left, the Schur
+    complement of the pivot block.  Ordered as the pivot sequence followed
+    by the indices left, the matrix is the pivot block (triangular after the
+    steps, its diagonal the pivots) over the complement, so the determinant
+    is the product of the pivots, a unit, times the complement's, times the
+    signs of that row order and that column order.
+    """
+    n = len(rows)
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    live = list(range(n))
+    units = [_unit_columns(row) for row in rows]
+    pivot_rows, pivot_cols = [], []
+    unit = LaurentPoly.const(vars, 1)
+    while True:
+        best, best_cost = None, n * n
+        for i in live:
+            r = len(rows[i]) - 1
+            for j in units[i]:
+                cost = r * (len(cols[j]) - 1)
+                if cost < best_cost:
+                    best, best_cost = (i, j), cost
+            if best_cost == 0:
+                break  # no later row beats a zero cost
+        if best is None:
+            break
+        pi, pj = best
+        live.remove(pi)
+        prow = rows[pi]
+        for j in prow:
+            cols[j].discard(pi)
+        u = prow.pop(pj)
+        unit = unit * u
+        ((uk, uc),) = u._terms.items()
+        inv = _poly(vars, {-uk: uc}, u._bound)
+        prow = [(j, e * inv) for j, e in prow.items()]
+        for i in sorted(cols[pj]):
+            row = rows[i]
+            a = row.pop(pj)
+            for j, e in prow:
+                f = row.get(j)
+                if f is None:
+                    row[j] = -(a * e)
+                    cols[j].add(i)
+                else:
+                    f = f - a * e
+                    if f._terms:
+                        row[j] = f
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+            if not row:
+                return LaurentPoly.zero(vars)
+            units[i] = _unit_columns(row)
+        cols[pj] = set()
+        pivot_rows.append(pi)
+        pivot_cols.append(pj)
+    pivoted = set(pivot_cols)
+    rest_cols = [j for j in range(n) if j not in pivoted]
+    renumber = {j: k for k, j in enumerate(rest_cols)}
+    rest = [{renumber[j]: e for j, e in rows[i].items()} for i in live]
+    sign = _order_sign(pivot_rows + live) * _order_sign(pivot_cols + rest_cols)
+    value = unit * _bareiss_loop(rest, vars) if rest else unit
+    return value if sign > 0 else -value
+
+
+def _bareiss_loop(rows, vars):
+    """Phase 2 of ``_bareiss_det``: the determinant of a nonempty matrix.
 
     ``rows`` is a square matrix as sparse rows {column: nonzero entry}, and
     is consumed.  Bareiss (1968): step k turns every entry below and right
@@ -713,3 +837,25 @@ def _bareiss_det(rows, vars):
 def _div_by_pivot(f, pivots, level):
     """f / p_level, where p_(-1) = 1."""
     return f if level < 0 else f.exact_div(pivots[level])
+
+
+def _unit_columns(row):
+    """The columns of a sparse row whose entries are units, in increasing order."""
+    return sorted(
+        [j for j, e in row.items() if len(e._terms) == 1 and abs(*e._terms.values()) == 1]
+    )
+
+
+def _order_sign(order):
+    """The sign of the permutation i -> order[i] of range(len(order))."""
+    sign, seen = 1, [False] * len(order)
+    for start in range(len(order)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        j = order[start]
+        while j != start:  # a cycle of length L flips the sign L - 1 times
+            seen[j] = True
+            j = order[j]
+            sign = -sign
+    return sign

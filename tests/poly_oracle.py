@@ -1,18 +1,22 @@
 """Tuple-keyed Laurent arithmetic, kept as a test oracle for the packed keys
-of ``knotparity.rings.LaurentPoly``.
+of ``knotparity.rings.LaurentPoly`` and ``QuotientRing.from_raw``.
 
 These are the sum, product and exact division the package used before each
 exponent vector was packed into one int: every term is keyed by its exponent
 tuple, a product builds the tuple of sums, and exact division checks each
 peeled quotient term against the box of exponents the quotient can have.
-They read and build polynomials only through the tuple-keyed ``terms`` view
-and the constructor, so they share no arithmetic with the package.
+``oracle_from_raw`` is the ring map into a quotient ring as it was before it
+read the images off packed keys: it sorts the terms by q-degree and
+multiplies each group by 1-t once per power of q.  All of them read and
+build polynomials only through the tuple-keyed ``terms`` view, the
+constructor and (for the ring map) polynomial sum and product, so they share
+no key arithmetic with the code they check.
 """
 
 import heapq
 from operator import add, le, neg, sub
 
-from knotparity.rings import LaurentPoly, VariableSetMismatch
+from knotparity.rings import LaurentPoly, QElement, VariableSetMismatch
 
 
 def _check(x, y):
@@ -100,3 +104,37 @@ def oracle_exact_div(x, divisor):
             else:
                 rem[key] = old - q * v
     return LaurentPoly(x.vars, quot)
+
+
+def _accumulate(terms, key, coef):
+    terms[key] = terms.get(key, 0) + coef
+
+
+def oracle_from_raw(ring, raw):
+    """Image in ``ring`` of a polynomial over ``ring.full_vars``.
+
+    A term c*t^a*p^b*q^k*x^e goes to c*t^a*x^e and c*p^b*x^e under psi1
+    and psi2 when k = 0 (to 0 otherwise), and to c*t^(a+b)*x^e times
+    (1-t)^k under psi3 and (t-1)^k under psi4.
+    """
+    if raw.vars != ring.full_vars:
+        raise VariableSetMismatch(f"{raw.vars} vs {ring.full_vars}")
+    psi1, psi2, by_q = {}, {}, {}
+    for (te, pe, k, *rest), coef in raw.terms.items():
+        if k < 0:
+            raise ValueError("q is not invertible")
+        rest = tuple(rest)
+        if k == 0:
+            _accumulate(psi1, (te, 0) + rest, coef)
+            _accumulate(psi2, (0, pe) + rest, coef)
+        _accumulate(by_q.setdefault(k, {}), (te + pe, 0) + rest, coef)
+    vars = ring.vars
+    one_minus_t = LaurentPoly.const(vars, 1) - LaurentPoly.monomial(vars, 1, t=1)
+    psi3 = psi4 = LaurentPoly.zero(vars)
+    for k, terms in by_q.items():
+        at_pt = LaurentPoly(vars, terms)
+        for _ in range(k):
+            at_pt = at_pt * one_minus_t
+        psi3 = psi3 + at_pt
+        psi4 = psi4 + (-at_pt if k % 2 else at_pt)
+    return QElement(ring, (LaurentPoly(vars, psi1), LaurentPoly(vars, psi2), psi3, psi4))

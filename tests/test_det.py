@@ -5,16 +5,26 @@ element separately; ``det_oracle.berkowitz_det`` runs the division-free
 Berkowitz recurrence on whole elements.  Both must agree on the invariant
 matrices of the fixtures and of seeded random diagrams, and on seeded random
 matrices chosen to be singular in some or all images.
+
+Each image's elimination runs in two phases: Gaussian steps on unit pivots,
+then the Bareiss loop on what is left.  The Bareiss loop run alone on the
+whole image matrix is a second oracle, and seeded matrices are built to
+reach each phase alone: no unit entry (only the loop runs), a signed
+permutation of units and a triangle with unit diagonal (only unit steps
+run), and a row emptied by the unit steps.
 """
 
 import pathlib
 import random
 
+import pytest
+
+from knotparity import rings
 from knotparity.diagram import parse_file
 from knotparity.matrix import build_M, build_Npp
 from knotparity.moves import random_diagram
 from knotparity.parity import hierarchy_types, parity_map
-from knotparity.rings import det, g_ring, rprime_ring
+from knotparity.rings import _bareiss_det, _bareiss_loop, det, g_ring, rprime_ring
 
 from det_oracle import berkowitz_det
 from test_rings import rand_matrix_elem
@@ -28,10 +38,65 @@ def _invariant_matrices(d):
         yield m, [[m.ring.from_raw(e) for e in row] for row in m.entries], m.ring
 
 
+RINGS = (g_ring(1), g_ring(2), rprime_ring())
+
+
+def _image_rows(rows, c):
+    return [{j: e.parts[c] for j, e in enumerate(row) if not e.parts[c].is_zero} for row in rows]
+
+
 def _checked_det(rows, ring):
+    """det(rows, ring), checked against Berkowitz and, image by image,
+    against the Bareiss loop alone."""
     value = det(rows, ring)
     assert value == berkowitz_det(rows, ring), [[e.render() for e in row] for row in rows]
+    if rows:
+        for c in range(4):
+            loop_alone = _bareiss_loop(_image_rows(rows, c), ring.vars)
+            assert _bareiss_det(_image_rows(rows, c), ring.vars) == loop_alone == value.parts[c]
     return value
+
+
+@pytest.fixture
+def rest_sizes(monkeypatch):
+    """rest_sizes(rows, ring) runs det and lists, per image that reaches the
+    Bareiss loop, the size of the matrix the unit steps left."""
+    sizes = []
+
+    def spy(rows, vars):
+        sizes.append(len(rows))
+        return _bareiss_loop(rows, vars)
+
+    def run(rows, ring):
+        sizes.clear()
+        det(rows, ring)
+        return list(sizes)
+
+    monkeypatch.setattr(rings, "_bareiss_loop", spy)
+    return run
+
+
+def _unit(rng, ring):
+    """A signed monomial free of q: a unit of the ring and of every image."""
+    return ring.element(rng.choice((-1, 1)), **{v: rng.randint(-2, 2) for v in ring.vars})
+
+
+def _non_unit(rng, ring):
+    """2 or 1 - t times a monomial: a unit in no image (1 - t vanishes in psi2)."""
+    if rng.random() < 0.5:
+        return ring.element(rng.choice((-2, 2))) * _unit(rng, ring)
+    return (ring.one() - ring.element(t=1)) * _unit(rng, ring)
+
+
+def _non_unit_rows(rng, ring, count, n):
+    """``count`` rows of n entries, each zero (30 %) or a non-unit."""
+    return [[ring.zero() if rng.random() < 0.3 else _non_unit(rng, ring) for _ in range(n)] for _ in range(count)]
+
+
+def _shuffled(rng, rows):
+    n = len(rows)
+    row_order, col_order = rng.sample(range(n), n), rng.sample(range(n), n)
+    return [[rows[i][j] for j in col_order] for i in row_order]
 
 
 def test_det_matches_berkowitz_on_fixtures():
@@ -75,3 +140,72 @@ def test_det_matches_berkowitz_on_singular_matrices():
         for rows in (all_odd, odd_column):
             psi1, psi2, _, _ = _checked_det(rows, ring).parts
             assert psi1.is_zero and psi2.is_zero
+
+
+def test_det_without_unit_entries_is_the_bareiss_loop(rest_sizes):
+    rng = random.Random(81)
+    for trial in range(30):
+        ring = RINGS[trial % 3]
+        n = rng.randint(1, 5)
+        rows = _non_unit_rows(rng, ring, n, n)
+        _checked_det(rows, ring)
+        assert rest_sizes(rows, ring) == [n] * 4
+
+
+def test_det_of_signed_unit_permutations(rest_sizes):
+    rng = random.Random(82)
+    signs = set()
+    for trial in range(30):
+        ring = RINGS[trial % 3]
+        n = rng.randint(1, 6)
+        perm = rng.sample(range(n), n)
+        rows = [[ring.zero()] * n for _ in range(n)]
+        for i, j in enumerate(perm):
+            rows[i][j] = _unit(rng, ring)
+        value = _checked_det(rows, ring)
+        assert rest_sizes(rows, ring) == []
+        product = ring.one()
+        for i, j in enumerate(perm):
+            product = product * rows[i][j]
+        assert value in (product, -product)
+        signs.add(value == product)
+    assert signs == {True, False}
+
+
+def test_det_of_unit_triangles_needs_no_bareiss(rest_sizes):
+    rng = random.Random(83)
+    for trial in range(30):
+        ring = RINGS[trial % 3]
+        n = rng.randint(1, 6)
+        rows = _non_unit_rows(rng, ring, n, n)
+        for i, row in enumerate(rows):
+            row[:i] = [ring.zero()] * i
+            row[i] = _unit(rng, ring)
+        rows = _shuffled(rng, rows)
+        value = _checked_det(rows, ring)
+        assert rest_sizes(rows, ring) == []
+        assert not any(x.is_zero for x in value.parts)
+
+
+def test_det_zero_when_unit_steps_empty_a_row(rest_sizes):
+    rng = random.Random(84)
+    for trial in range(30):
+        ring = RINGS[trial % 3]
+        n = rng.randint(2, 6)
+        # only the first row and a unit multiple of it hold units, so the
+        # first unit step clears the multiple
+        first = [_unit(rng, ring) if j == 0 or rng.random() < 0.6 else ring.zero() for j in range(n)]
+        u = _unit(rng, ring)
+        rows = [first] + _non_unit_rows(rng, ring, n - 2, n) + [[u * e for e in first]]
+        rows = _shuffled(rng, rows)
+        assert _checked_det(rows, ring).is_zero
+        assert rest_sizes(rows, ring) == []
+
+
+def test_det_matches_both_oracles_on_mixed_matrices():
+    rng = random.Random(85)
+    for trial in range(90):
+        ring = RINGS[trial % 3]
+        n = rng.randint(1, 6)
+        kinds = (ring.zero, lambda: _unit(rng, ring), lambda: _non_unit(rng, ring), lambda: rand_matrix_elem(rng, ring))
+        _checked_det([[rng.choice(kinds)() for _ in range(n)] for _ in range(n)], ring)

@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotparity.rings import (
+    EXPONENT_LIMIT,
+    ExponentOverflow,
     LaurentPoly,
     NonSquare,
+    QuotientRing,
     RAW_VARS,
     VariableSetMismatch,
     det,
@@ -14,6 +17,7 @@ from knotparity.rings import (
     rprime_ring,
 )
 from det_oracle import cofactor_det
+from poly_oracle import oracle_from_raw
 from rraw_oracle import ReducingRawRing, div_rs_minus_1, r_reduce
 
 
@@ -158,6 +162,53 @@ def test_normalize_is_ring_homomorphism(seed):
     x, y = rand_raw(rng, ring), rand_raw(rng, ring)
     assert ring.from_raw(x * y) == ring.from_raw(x) * ring.from_raw(y)
     assert ring.from_raw(x + y) == ring.from_raw(x) + ring.from_raw(y)
+
+
+# rings with 1, 2, 3 and 4 passenger variables
+FROM_RAW_RINGS = (RP, G, QuotientRing("G", ("x1", "x2", "x3")), g_ring(2))
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [
+        range(-3, 4),
+        # t- and p-exponents whose sum, plus a q-degree of 3, just stays
+        # below the exponent limit
+        (-(EXPONENT_LIMIT // 2) + 2, -1, 0, 1, EXPONENT_LIMIT // 2 - 2),
+    ],
+    ids=["small", "wide"],
+)
+def test_from_raw_matches_tuple_oracle(exps):
+    rng = random.Random(8080)
+    q_degrees = set()
+    for trial in range(400):
+        ring = FROM_RAW_RINGS[trial % len(FROM_RAW_RINGS)]
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            vec = tuple(rng.randint(0, 3) if v == "q" else rng.choice(exps) for v in ring.full_vars)
+            terms[vec] = rng.choice((-1, 1)) * rng.randint(1, 4)
+            q_degrees.add(vec[2])
+        raw = LaurentPoly(ring.full_vars, terms)
+        assert ring.from_raw(raw) == oracle_from_raw(ring, raw), raw.render()
+    assert q_degrees == {0, 1, 2, 3}
+
+
+def test_from_raw_rejects_what_the_oracle_rejects():
+    full = G.full_vars
+    with pytest.raises(ValueError, match="q is not invertible"):
+        G.from_raw(LaurentPoly.monomial(full, 1, q=-1))
+    with pytest.raises(ValueError, match="q is not invertible"):
+        oracle_from_raw(G, LaurentPoly.monomial(full, 1, q=-1))
+    half = EXPONENT_LIMIT // 2
+    # t^a p^b goes to t^(a+b) under psi3 and psi4, and q^k raises that by up to k
+    for exps in ({"t": half, "p": half}, {"t": half, "p": half - 1, "q": 1}, {"t": -half, "p": -half}):
+        raw = LaurentPoly.monomial(full, 1, **exps)
+        for ring_map in (G.from_raw, lambda raw: oracle_from_raw(G, raw)):
+            with pytest.raises(ExponentOverflow):
+                ring_map(raw)
+    for exps in ({"t": half, "p": half - 1}, {"t": half, "p": half - 2, "q": 1}, {"t": half, "p": -half}):
+        raw = LaurentPoly.monomial(full, 1, **exps)
+        assert G.from_raw(raw) == oracle_from_raw(G, raw)
 
 
 def naive_fixpoint_pair(ring, raw):
