@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 
-from .diagram import DiagramError, parse_file
+from .diagram import MAX_GENUS, DiagramError, parse_file
 from .invariant import (
     DISTINCT,
     compare,
@@ -191,13 +191,15 @@ def cmd_verify(args):
     return 0 if all(r.ok for r in reports) else 2
 
 
-def _int_at_least(low):
-    """argparse type: an integer >= low, else a usage error."""
+def _int_between(low, high=None):
+    """argparse type: an integer >= low (and <= high if given), else a usage error."""
 
     def integer(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return integer
@@ -253,9 +255,9 @@ def build_parser():
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="randomized invariance and axiom checks")
-    p.add_argument("--trials", type=_int_at_least(1), default=100)
-    p.add_argument("--max-crossings", type=_int_at_least(1), default=8)
-    p.add_argument("--genus", type=_int_at_least(0), default=2)
+    p.add_argument("--trials", type=_int_between(1), default=100)
+    p.add_argument("--max-crossings", type=_int_between(1), default=8)
+    p.add_argument("--genus", type=_int_between(0, MAX_GENUS), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--invariant", choices=("s", "nprime", "both"), default="both")
     p.add_argument("--report", help="write a JSON report to this path")

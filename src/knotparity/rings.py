@@ -791,52 +791,36 @@ def _bareiss_loop(rows, vars):
     ``rows`` is a square matrix as sparse rows {column: nonzero entry}, and
     is consumed.  Bareiss (1968): step k turns every entry below and right
     of the pivot into the (k+2)-minor  (p_k * m_ij - m_ik * m_kj) / p_(k-1),
-    where p_k is the step-k pivot and p_(-1) = 1; by Sylvester's identity
+    where p_k is the step-k pivot and p_(-1) = 1 (a row with no entry in
+    column k just becomes p_k * m_ij / p_(k-1)); by Sylvester's identity
     every division is exact, and the last pivot is the determinant.
 
-    Pivots are chosen per column, among the rows with a nonzero entry there:
-    the fewest nonzeros, then the fewest terms in the pivot, then the lowest
-    index (a Markowitz-style order that limits fill); each row swap flips
-    the sign.  A row with a zero in the pivot column would only be scaled
-    by p_k / p_(k-1), so it is left as it is, remembering the step ``level``
-    it was last brought to: a row at level L stands for the row at level
-    k - 1 times p_(k-1) / p_L, and the step-k update of it is
-    (p_k * m_ij - m_ik * m_kj) / p_L.
+    The pivot is the entry in column k with the fewest terms, ties going to
+    the lowest row; each row swap flips the sign.
     """
     n = len(rows)
     sign = 1
-    level = [-1] * n
-    pivots = {}
+    prev = None
     for k in range(n):
         candidates = [i for i in range(k, n) if k in rows[i]]
         if not candidates:
             return LaurentPoly.zero(vars)
-        i = min(candidates, key=lambda i: (len(rows[i]), len(rows[i][k]._terms), i))
+        i = min(candidates, key=lambda i: (len(rows[i][k]._terms), i))
         if i != k:
             rows[i], rows[k] = rows[k], rows[i]
-            level[i], level[k] = level[k], level[i]
             sign = -sign
         prow = rows[k]
-        if level[k] != k - 1:
-            scale = pivots[k - 1]
-            prow = {j: _div_by_pivot(scale * e, pivots, level[k]) for j, e in prow.items()}
-        pivot = pivots[k] = prow.pop(k)
+        pivot = prow.pop(k)
         for i in range(k + 1, n):
             row = rows[i]
             a = row.pop(k, None)
-            if a is None:
-                continue
             new = {j: pivot * e for j, e in row.items()}
-            for j, e in prow.items():
-                new[j] = new[j] - a * e if j in new else -(a * e)
-            rows[i] = {j: _div_by_pivot(e, pivots, level[i]) for j, e in new.items() if e._terms}
-            level[i] = k
-    return pivots[n - 1] if sign > 0 else -pivots[n - 1]
-
-
-def _div_by_pivot(f, pivots, level):
-    """f / p_level, where p_(-1) = 1."""
-    return f if level < 0 else f.exact_div(pivots[level])
+            if a is not None:
+                for j, e in prow.items():
+                    new[j] = new[j] - a * e if j in new else -(a * e)
+            rows[i] = {j: e if prev is None else e.exact_div(prev) for j, e in new.items() if e._terms}
+        prev = pivot
+    return prev if sign > 0 else -prev
 
 
 def _unit_columns(row):

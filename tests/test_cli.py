@@ -2,6 +2,7 @@ import json
 import pathlib
 
 from knotparity.cli import run
+from knotparity.diagram import MAX_GENUS
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 PAIR = str(FIXTURES / "torus_pair.surf")
@@ -109,6 +110,21 @@ def test_verify_rejects_out_of_range_arguments(capsys):
         assert run(["verify", "--seed", "1", *bad]) == 1, bad
         err = capsys.readouterr().err
         assert "usage:" in err and "must be at least" in err and "Traceback" not in err
+
+
+def test_genus_ceiling_exits_1(tmp_path, capsys):
+    big = tmp_path / "big.surf"
+    big.write_text("genus 1; small: O1+ x1+ U1+\ngenus 99999999; big: O1+ x1+ U1+\n")
+    assert run(["invariant", "--type", "s", str(big)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: big: genus")
+    assert run(["invariant", "--type", "s", str(big), "--lenient"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("small: ") and "big" not in captured.out
+    assert "warning: line 2 skipped" in captured.err
+    assert run(["verify", "--trials", "1", "--genus", str(MAX_GENUS + 1)]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"must be at most {MAX_GENUS}" in err and "Traceback" not in err
 
 
 def test_consecutive_runs_share_no_parsed_state(capsys):

@@ -5,14 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotparity.diagram import (
+    MAX_GENUS,
     CrossingSeenOnce,
     CrossingSeenTwiceSameStrand,
+    DiagramError,
+    GenusTooLarge,
     MalformedToken,
     Passage,
     SideIndexOutOfRange,
     SideToken,
     SignMismatch,
     arcs,
+    parse_file,
     parse_gauss,
     parse_line,
     parse_surface,
@@ -53,6 +57,22 @@ def test_parse_surface():
     assert d.genus == 0 and d.tokens == ()
     with pytest.raises(SideIndexOutOfRange):
         parse_surface("genus 1; bad: x3+")
+
+
+def test_genus_ceiling(tmp_path):
+    assert parse_surface(f"genus {MAX_GENUS}; k: O1+ x1+ U1+").genus == MAX_GENUS
+    assert parse_surface("genus 0001; k: O1+ x1+ U1+").genus == 1
+    assert issubclass(GenusTooLarge, DiagramError)
+    # a digit string too long for int() fails the same way, at once
+    for genus in (str(MAX_GENUS + 1), "99999999", "9" * 5000):
+        with pytest.raises(GenusTooLarge, match=f"k: genus more than the {MAX_GENUS} allowed"):
+            parse_surface(f"genus {genus}; k: O1+ x1+ U1+")
+    path = tmp_path / "big.surf"
+    path.write_text("genus 1; small: O1+ x1+ U1+\ngenus 99999999; big: O1+ x1+ U1+\n")
+    with pytest.raises(GenusTooLarge):
+        parse_file(path)
+    diagrams, errors = parse_file(path, lenient=True)
+    assert [d.name for d in diagrams] == ["small"] and [e[0] for e in errors] == [2]
 
 
 def test_renumbering_by_first_appearance():

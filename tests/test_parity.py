@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotparity.diagram import Passage, parse_file, parse_gauss, Diagram
-from knotparity.moves import random_diagram
+from knotparity.moves import MoveInstance, apply, random_diagram
 from knotparity.parity import (
     EVEN,
     ODD,
@@ -31,6 +31,82 @@ def brute_interleave_counts(d):
         a, b = sorted(pos[c1])
         return sum(1 for x in pos[c2] if a < x < b) == 1
     return {c: sum(inter(c, o) for o in pos if o != c) for c in pos}
+
+
+def _chords(tokens):
+    """Oracle: crossing -> its two positions among the passages."""
+    endpoints = {}
+    pos = 0
+    for tok in tokens:
+        if isinstance(tok, Passage):
+            endpoints.setdefault(tok.crossing, []).append(pos)
+            pos += 1
+    return {c: tuple(ps) for c, ps in endpoints.items()}
+
+
+def _interleave(e1, e2):
+    a, b = sorted(e1)
+    x, y = e2
+    return (a < x < b) != (a < y < b)
+
+
+def pairwise_oracle(d):
+    """Oracle: interleaving, counts and types by pairwise endpoint scans, the
+    types re-counting interlacement among the even crossings only."""
+    endpoints = _chords(d.tokens)
+    inter = {(c, o): _interleave(e, endpoints[o]) for c, e in endpoints.items() for o in endpoints}
+    counts = {c: sum(inter[c, o] for o in endpoints if o != c) for c in endpoints}
+    survivors = [c for c, n in counts.items() if n % 2 == 0]
+    types = {c: 0 for c, n in counts.items() if n % 2}
+    for c in survivors:
+        n = sum(1 for o in survivors if o != c and inter[c, o])
+        types[c] = 1 if n % 2 else 2
+    return inter, counts, types
+
+
+def _sweep_diagrams(seed, count):
+    """Seeded random diagrams of 1-40 crossings at genus 0-2, a third of
+    them with subdivision vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = random_diagram(rng, rng.randint(1, 40), rng.randint(0, 2))
+        if rng.random() < 1 / 3:
+            for _ in range(rng.randint(1, 3)):
+                d = apply(d, MoveInstance("Subdivide", (rng.randint(0, len(d.tokens)),)))
+        yield rng, d
+
+
+def _assert_matches_pairwise_oracle(d):
+    inter, counts, types = pairwise_oracle(d)
+    cd = chord_data(d)
+    assert cd.counts == counts
+    assert {(c, o): cd.interleave(c, o) for c, o in inter} == inter
+    assert parity_map(d) == {c: ODD if n % 2 else EVEN for c, n in counts.items()}
+    assert hierarchy_types(d) == types
+    # bit i stands for the i-th crossing in order of first appearance, so no
+    # bit set is wider than the crossing count, whatever the ids
+    assert list(cd.bits.values()) == [1 << i for i in range(len(d.crossings))]
+    assert list(cd.bits) == d.crossings
+    assert all(0 <= s < 1 << len(cd.bits) for s in cd.links.values())
+    return types
+
+
+def test_bit_sets_match_pairwise_oracle():
+    levels = set()
+    for _, d in _sweep_diagrams(1009, 150):
+        levels.update(_assert_matches_pairwise_oracle(d).values())
+    assert levels == {0, 1, 2}
+
+
+def test_bit_sets_match_pairwise_oracle_under_any_ids():
+    for rng, d in _sweep_diagrams(1013, 60):
+        n = len(d.crossings)
+        ids = rng.sample(range(-3 * n, 0), n // 3) + rng.sample(range(10**9 - 5 * n, 10**9 + 5 * n), n - n // 3)
+        rng.shuffle(ids)
+        mapping = dict(zip(d.crossings, ids))
+        rn = d.renumbered(mapping)
+        types = _assert_matches_pairwise_oracle(rn)
+        assert types == {mapping[c]: t for c, t in hierarchy_types(d).items()}
 
 
 def test_virtual_trefoil_counts():
