@@ -26,7 +26,7 @@ from .invariant import (
 )
 from .matrix import build_M, build_Npp
 from .parity import chord_data, gaussian_parity, hierarchy_types, parity_map
-from .moves import verify_invariance
+from .moves import MAX_CROSSINGS, verify_invariance
 
 
 def _load(path, lenient):
@@ -256,7 +256,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="randomized invariance and axiom checks")
     p.add_argument("--trials", type=_int_between(1), default=100)
-    p.add_argument("--max-crossings", type=_int_between(1), default=8)
+    p.add_argument("--max-crossings", type=_int_between(1, MAX_CROSSINGS), default=8)
     p.add_argument("--genus", type=_int_between(0, MAX_GENUS), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--invariant", choices=("s", "nprime", "both"), default="both")

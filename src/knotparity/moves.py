@@ -12,17 +12,29 @@ Moves operate on the cyclic token sequence:
 
       (O_a O_b) (U_a O_c) (U_b U_c)        all signs equal,
 
-  or the swapped form; applying the move swaps each pair in place.  Crossing
-  ids are preserved, which is what gives the before/after correspondence the
-  parity-axiom checks need.
+  or its mirror (O_b O_a) (O_c U_a) (U_c U_b); applying the move swaps each
+  pair in place.  Crossing ids are preserved, which is what gives the
+  before/after correspondence the parity-axiom checks need.
 * SidePass: a crossing passes through a side of the polygon.  Implemented as
   inserting x_m^d before and x_m^-d after both passages of the crossing and
   then cancelling adjacent inverse side-token pairs; a site is applicable
   when at least one cancellation fires (that is, a passage of the crossing
   is adjacent to a matching side token).  Both strands are rewritten
   together; moving a token past a single passage on its own is not a valid
-  move and demonstrably breaks invariance.
+  move and demonstrably breaks invariance.  Cancellation is one stack pass
+  over the sequence, then a trim of inverse pairs that meet across the
+  basepoint.
 * Subdivide: insert a degree-2 vertex into an arc of a nonempty diagram.
+
+Removal sites (R1-, R2-, R3) are found through one index per diagram,
+(crossing, over) -> position of each passage; a crossing has one passage of
+each kind, so every check is a lookup.  One predicate per kind, anchored at a
+position i, returns the sites whose first pair starts there: at most one for
+R1- and R2-, up to two for R3 (form L reads forward from the under-passages
+of the over pair at i, form R backward).  ``applicable`` asks each predicate
+at every position, in kind order R1-, R2-, R3; ``apply`` accepts a removal
+instance only when the same predicate returns it at the instance's first
+index, so a stale or malformed site raises MoveNotApplicable.
 
 The harness generates seeded random diagrams, applies every enumerable move
 instance (plus sampled insertions), and checks the parity axioms, the type
@@ -41,7 +53,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .diagram import Diagram, Passage, SideToken, Vertex
+from .diagram import MAX_GENUS, MAX_TOKENS, Diagram, Passage, SideToken, Vertex
 from .invariant import compare, nprime_invariant, s_invariant, EQUIVALENT
 from .parity import EVEN, ODD, parity_map, hierarchy_types
 
@@ -64,19 +76,74 @@ _R3_CASES = {(2, 2, 2), (0, 0, 1), (0, 0, 2), (1, 1, 2)}
 # Insertion gaps (R1+, Subdivide) and R2+ sites sampled per diagram.
 INSERTION_SAMPLES = 2
 
+# The most crossings a verify trial may draw.  Its random code has 2n
+# passages and at most 2 side tokens on each of 2g <= 2 * MAX_GENUS sides,
+# and a one-move neighbour adds at most 4 tokens (R2+, SidePass), so every
+# diagram a trial builds stays within diagram.MAX_TOKENS.
+MAX_CROSSINGS = (MAX_TOKENS - 2 * 2 * MAX_GENUS - 4) // 2
 
-def _adjacent_passage_pairs(d):
-    """Cyclically adjacent token pairs that are both crossing passages."""
-    n = len(d.tokens)
-    out = []
-    for i in range(n):
-        j = (i + 1) % n
-        if i == j:
-            break
-        a, b = d.tokens[i], d.tokens[j]
-        if isinstance(a, Passage) and isinstance(b, Passage):
-            out.append((i, j, a, b))
-    return out
+
+def _passage_index(tokens):
+    """(crossing, over) -> position of each passage."""
+    return {(t.crossing, t.over): k for k, t in enumerate(tokens) if isinstance(t, Passage)}
+
+
+def _r1_sites(toks, pos, i):
+    """R1- at i: positions i and i+1 hold the two passages of one crossing."""
+    j = (i + 1) % len(toks)
+    a, b = toks[i], toks[j]
+    if isinstance(a, Passage) and isinstance(b, Passage) and a.crossing == b.crossing:
+        return [(i, j)]
+    return []
+
+
+def _r2_sites(toks, pos, i):
+    """R2- at i: over-passages of two crossings of opposite signs at i and
+    i+1, whose under-passages are adjacent in either order."""
+    n = len(toks)
+    j = (i + 1) % n
+    a, b = toks[i], toks[j]
+    if not (isinstance(a, Passage) and isinstance(b, Passage) and a.over and b.over):
+        return []
+    if a.sign != -b.sign:
+        return []
+    ua, ub = pos[a.crossing, False], pos[b.crossing, False]
+    if ub == (ua + 1) % n:
+        return [((i, j), (ua, ub))]
+    if ua == (ub + 1) % n:
+        return [((i, j), (ub, ua))]
+    return []
+
+
+def _r3_sites(toks, pos, i):
+    """R3 at i: the over-passages at i and i+1 begin one of the patterns
+
+        form L   (O_a O_b) (U_a O_c) (U_b U_c)
+        form R   (O_b O_a) (O_c U_a) (U_c U_b)
+
+    of three distinct crossings of one sign.  Each form reads the token after
+    (L) or before (R) the under-passages of the over pair; the sites come in
+    the order of their middle pair."""
+    n = len(toks)
+    j = (i + 1) % n
+    x, y = toks[i], toks[j]
+    if not (isinstance(x, Passage) and isinstance(y, Passage) and x.over and y.over):
+        return []
+    sites = []
+    for a, b, step in ((x, y, 1), (y, x, -1)):
+        mid, low = pos[a.crossing, False], pos[b.crossing, False]
+        c, uc = toks[(mid + step) % n], toks[(low + step) % n]
+        if not (isinstance(c, Passage) and c.over and isinstance(uc, Passage) and not uc.over):
+            continue
+        if uc.crossing == c.crossing and len({a.crossing, b.crossing, c.crossing}) == 3:
+            if a.sign == b.sign == c.sign:
+                m, u = (mid + min(step, 0)) % n, (low + min(step, 0)) % n
+                sites.append(((i, j), (m, (m + 1) % n), (u, (u + 1) % n)))
+    return sorted(sites, key=lambda site: site[1])
+
+
+# removal kind -> predicate giving its sites at one position
+_SITES = {"R1-": _r1_sites, "R2-": _r2_sites, "R3": _r3_sites}
 
 
 def applicable(d, rng=None):
@@ -87,31 +154,20 @@ def applicable(d, rng=None):
     deterministically unless an rng is supplied.
     """
     out = []
-    n = len(d.tokens)
-
-    pairs = _adjacent_passage_pairs(d)
-    for i, j, a, b in pairs:
-        if a.crossing == b.crossing:
-            out.append(MoveInstance("R1-", (i, j)))
-    overs = [(i, j, a, b) for i, j, a, b in pairs if a.over and b.over and a.crossing != b.crossing]
-    unders = [(i, j, a, b) for i, j, a, b in pairs if not a.over and not b.over and a.crossing != b.crossing]
-    for i, j, oa, ob in overs:
-        for k, l, ua, ub in unders:
-            if len({i, j, k, l}) < 4:
-                continue
-            if oa.sign != -ob.sign:
-                continue
-            if {ua.crossing, ub.crossing} == {oa.crossing, ob.crossing}:
-                out.append(MoveInstance("R2-", ((i, j), (k, l))))
-
-    out.extend(_r3_sites(pairs, overs, unders))
+    toks = d.tokens
+    n = len(toks)
+    pos = _passage_index(toks)
+    for kind, sites in _SITES.items():
+        for i in range(n):
+            for site in sites(toks, pos, i):
+                out.append(MoveInstance(kind, site))
 
     seen = set()
-    for i, tok in enumerate(d.tokens):
+    for i, tok in enumerate(toks):
         if not isinstance(tok, Passage):
             continue
-        prv = d.tokens[(i - 1) % n]
-        nxt = d.tokens[(i + 1) % n]
+        prv = toks[(i - 1) % n]
+        nxt = toks[(i + 1) % n]
         if isinstance(prv, SideToken):
             key = (tok.crossing, prv.side, -prv.sign)
             if key not in seen:
@@ -153,86 +209,57 @@ def applicable(d, rng=None):
     return out
 
 
-def _r3_sites(pairs, overs, unders):
-    sites = []
-    mixed = [(i, j, a, b) for i, j, a, b in pairs if a.over != b.over and a.crossing != b.crossing]
-    for oi, oj, o1, o2 in overs:
-        for mi, mj, m1, m2 in mixed:
-            for ui, uj, u1, u2 in unders:
-                pos = {oi, oj, mi, mj, ui, uj}
-                if len(pos) < 6:
-                    continue
-                # form L: (O_a O_b)(U_a O_c)(U_b U_c)
-                if (
-                    not m1.over
-                    and m1.crossing == o1.crossing
-                    and u1.crossing == o2.crossing
-                    and u2.crossing == m2.crossing
-                ):
-                    trip = (o1, o2, m2)
-                # form R: (O_b O_a)(O_c U_a)(U_c U_b)
-                elif (
-                    m2.over is False
-                    and m1.over
-                    and m2.crossing == o2.crossing
-                    and u2.crossing == o1.crossing
-                    and u1.crossing == m1.crossing
-                ):
-                    trip = (o1, o2, m1)
-                else:
-                    continue
-                if len({t.crossing for t in trip}) < 3:
-                    continue
-                if not (trip[0].sign == trip[1].sign == trip[2].sign):
-                    continue
-                sites.append(MoveInstance("R3", ((oi, oj), (mi, mj), (ui, uj))))
-    return sites
-
-
 def _fresh_crossing(d):
     return max(d.crossings, default=0) + 1
 
 
+def _inverse(a, b):
+    both = isinstance(a, SideToken) and isinstance(b, SideToken)
+    return both and a.side == b.side and a.sign == -b.sign
+
+
 def _cancel_side_pairs(tokens):
-    toks = list(tokens)
-    changed = True
-    while changed and toks:
-        changed = False
-        n = len(toks)
-        for i in range(n):
-            j = (i + 1) % n
-            if i == j:
-                break
-            a, b = toks[i], toks[j]
-            if (
-                isinstance(a, SideToken)
-                and isinstance(b, SideToken)
-                and a.side == b.side
-                and a.sign == -b.sign
-            ):
-                for k in sorted((i, j), reverse=True):
-                    del toks[k]
-                changed = True
-                break
-    return toks
+    """Cancel adjacent inverse side tokens of the cyclic sequence: one stack
+    pass reduces the sequence, then inverse pairs meeting across the
+    basepoint are trimmed from both ends."""
+    toks = []
+    for tok in tokens:
+        if toks and _inverse(toks[-1], tok):
+            toks.pop()
+        else:
+            toks.append(tok)
+    lo, hi = 0, len(toks)
+    while hi - lo >= 2 and _inverse(toks[hi - 1], toks[lo]):
+        lo, hi = lo + 1, hi - 1
+    return toks[lo:hi]
+
+
+def _removal_site(d, move):
+    """The site equal to the move's data among those its kind's predicate
+    returns at the data's first index; anything else, including data of the
+    wrong shape or type, raises MoveNotApplicable."""
+    first = move.data
+    while isinstance(first, tuple) and first:
+        first = first[0]
+    toks = d.tokens
+    if type(first) is int and 0 <= first < len(toks):
+        for site in _SITES[move.kind](toks, _passage_index(toks), first):
+            if site == move.data:
+                return site
+    raise MoveNotApplicable(move.describe())
 
 
 def apply(d, move):
     """Apply a move instance; raises MoveNotApplicable on a stale site."""
     toks = list(d.tokens)
     kind, data = move.kind, move.data
-    if kind == "R1-":
-        i, j = data
-        ok = (
-            j == (i + 1) % len(toks)
-            and isinstance(toks[i], Passage)
-            and isinstance(toks[j], Passage)
-            and toks[i].crossing == toks[j].crossing
-        )
-        if not ok:
-            raise MoveNotApplicable(move.describe())
-        for k in sorted((i, j), reverse=True):
-            del toks[k]
+    if kind in ("R1-", "R2-"):
+        site = _removal_site(d, move)
+        drop = set(site) if kind == "R1-" else set(site[0] + site[1])
+        toks = [tok for k, tok in enumerate(toks) if k not in drop]
+    elif kind == "R3":
+        for i, j in _removal_site(d, move):
+            toks[i], toks[j] = toks[j], toks[i]
     elif kind == "R1+":
         gap, order, sign = data
         if not 0 <= gap <= len(toks):
@@ -240,27 +267,6 @@ def apply(d, move):
         c = _fresh_crossing(d)
         pair = [Passage(c, order[0] == "O", sign), Passage(c, order[1] == "O", sign)]
         toks[gap:gap] = pair
-    elif kind == "R2-":
-        (i, j), (k, l) = data
-        try:
-            oa, ob, ua, ub = toks[i], toks[j], toks[k], toks[l]
-        except IndexError:
-            raise MoveNotApplicable(move.describe())
-        ok = (
-            j == (i + 1) % len(toks)
-            and l == (k + 1) % len(toks)
-            and all(isinstance(t, Passage) for t in (oa, ob, ua, ub))
-            and oa.over
-            and ob.over
-            and not ua.over
-            and not ub.over
-            and oa.sign == -ob.sign
-            and {ua.crossing, ub.crossing} == {oa.crossing, ob.crossing}
-        )
-        if not ok:
-            raise MoveNotApplicable(move.describe())
-        for idx in sorted((i, j, k, l), reverse=True):
-            del toks[idx]
     elif kind == "R2+":
         g1, g2, over_at_first, co, sign = data
         if not (0 <= g1 <= len(toks) and 0 <= g2 <= len(toks)):
@@ -279,18 +285,6 @@ def apply(d, move):
         else:
             for gap, pair in sorted(((g1, first), (g2, second)), key=lambda x: -x[0]):
                 toks[gap:gap] = pair
-    elif kind == "R3":
-        pairs = data
-        flat = [idx for pr in pairs for idx in pr]
-        if len(set(flat)) < 6:
-            raise MoveNotApplicable(move.describe())
-        for i, j in pairs:
-            if j != (i + 1) % len(toks) or not (
-                isinstance(toks[i], Passage) and isinstance(toks[j], Passage)
-            ):
-                raise MoveNotApplicable(move.describe())
-        for i, j in pairs:
-            toks[i], toks[j] = toks[j], toks[i]
     elif kind == "SidePass":
         c, m, delta = data
         if c not in d.crossings or not (1 <= m <= 2 * d.genus):
@@ -344,11 +338,10 @@ def random_diagram(rng, crossings, genus=0, max_side_tokens=2, name="rnd"):
 # Axiom checks and the verification harness
 
 
-def _axiom_problems(before, after, move, par_b, ty_b):
-    """Axiom violations of one move; par_b and ty_b are the parity map and
-    hierarchy types of ``before``, computed once for all of its moves."""
+def _axiom_problems(before, after, move, par_b, ty_b, par_a, ty_a):
+    """Axiom violations of one move; par_b, ty_b and par_a, ty_a are the
+    parity maps and hierarchy types of ``before`` and ``after``."""
     problems = []
-    par_a, ty_a = parity_map(after), hierarchy_types(after)
     common = set(par_b) & set(par_a)
     kind = move.kind
 
@@ -453,12 +446,13 @@ class VerifyReport:
         }
 
 
-def _degenerate(d, invariant):
+def _degenerate(d, invariant, types):
     """True when the diagram's matrix is 0x0, i.e. its invariant is the
-    empty determinant and the invariance statement does not apply."""
+    empty determinant and the invariance statement does not apply;
+    ``types`` are the diagram's hierarchy types."""
     if invariant == "s":
         return not d.crossings and not d.vertex_ids
-    return all(v == 0 for v in hierarchy_types(d).values())
+    return all(v == 0 for v in types.values())
 
 
 def verify_invariance(seed, trials, max_crossings, genus=0, invariant="s"):
@@ -481,16 +475,17 @@ def verify_invariance(seed, trials, max_crossings, genus=0, invariant="s"):
             moves = [m for m in moves if m.kind not in ("SidePass", "Subdivide")]
         value = None
         par, types = parity_map(d), hierarchy_types(d)
-        degenerate = _degenerate(d, invariant)
+        degenerate = _degenerate(d, invariant, types)
         for mv in moves:
             d2 = apply(d, mv)
             rep.moves_checked += 1
             rep.by_kind[mv.kind] = rep.by_kind.get(mv.kind, 0) + 1
-            for prob in _axiom_problems(d, d2, mv, par, types):
+            par2, types2 = parity_map(d2), hierarchy_types(d2)
+            for prob in _axiom_problems(d, d2, mv, par, types, par2, types2):
                 rep.counterexamples.append(
                     (trial, d.serialize(), mv.describe(), "axiom", prob)
                 )
-            if degenerate or _degenerate(d2, invariant):
+            if degenerate or _degenerate(d2, invariant, types2):
                 rep.skipped_boundary += 1
                 continue
             if value is None:

@@ -1,8 +1,9 @@
 import json
 import pathlib
 
-from knotparity.cli import run
-from knotparity.diagram import MAX_GENUS
+from knotparity.cli import build_parser, run
+from knotparity.diagram import MAX_GENUS, MAX_TOKENS
+from knotparity.moves import MAX_CROSSINGS
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 PAIR = str(FIXTURES / "torus_pair.surf")
@@ -125,6 +126,17 @@ def test_genus_ceiling_exits_1(tmp_path, capsys):
     assert run(["verify", "--trials", "1", "--genus", str(MAX_GENUS + 1)]) == 1
     err = capsys.readouterr().err
     assert "usage:" in err and f"must be at most {MAX_GENUS}" in err and "Traceback" not in err
+
+
+def test_max_crossings_ceiling(capsys):
+    # a trial's code has 2n passages and at most 2 side tokens on each of 2g
+    # sides, and a one-move neighbour adds at most 4 tokens
+    assert 2 * MAX_CROSSINGS + 2 * 2 * MAX_GENUS + 4 <= MAX_TOKENS
+    assert run(["verify", "--trials", "1", "--max-crossings", str(MAX_CROSSINGS + 1)]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"must be at most {MAX_CROSSINGS}" in err and "Traceback" not in err
+    args = build_parser().parse_args(["verify", "--max-crossings", str(MAX_CROSSINGS)])
+    assert args.max_crossings == MAX_CROSSINGS
 
 
 def test_consecutive_runs_share_no_parsed_state(capsys):

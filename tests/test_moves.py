@@ -3,11 +3,21 @@ import random
 
 import pytest
 
-from knotparity.diagram import Diagram, Passage, SideToken, parse_gauss, parse_line, parse_surface
+import moves_oracle as oracle
+from knotparity.diagram import (
+    Diagram,
+    Passage,
+    SideToken,
+    Vertex,
+    parse_gauss,
+    parse_line,
+    parse_surface,
+)
 from knotparity.invariant import EQUIVALENT, compare, s_invariant
 from knotparity.moves import (
     MoveInstance,
     MoveNotApplicable,
+    _cancel_side_pairs,
     applicable,
     apply,
     random_diagram,
@@ -120,6 +130,128 @@ def test_apply_rejects_stale_sites():
         apply(d, MoveInstance("Subdivide", (99,)))
     with pytest.raises(MoveNotApplicable):
         apply(parse_gauss("u:"), MoveInstance("Subdivide", (0,)))
+
+
+def test_apply_rejects_non_sites_and_malformed_data():
+    # three disjoint adjacent pairs that carry no triangle pattern, indices
+    # past the end, and data of the wrong shape or type
+    d = parse_gauss("k: O1+ U2+ O3+ U1+ O2+ U3+")
+    bad = [
+        ("R3", ((0, 1), (2, 3), (4, 5))),
+        ("R1-", (7, 2)),
+        ("R1-", (-1, 0)),
+        ("R2-", ((7, 0), (1, 2))),
+        ("R3", ((7, 0), (1, 2), (3, 4))),
+        ("R1-", ("0", "1")),
+        ("R1-", (0.0, 1)),
+        ("R1-", (True, 1)),
+        ("R1-", 0),
+        ("R1-", ()),
+        ("R1-", None),
+        ("R2-", (0, 1, 2, 3)),
+        ("R2-", ((0, 1),)),
+        ("R2-", [(0, 1), (3, 4)]),
+        ("R3", (0, 1)),
+        ("R3", ((0, 1), (2, 3))),
+        ("R3", (((0, 1),), (2, 3), (4, 5))),
+    ]
+    for kind, data in bad:
+        with pytest.raises(MoveNotApplicable):
+            apply(d, MoveInstance(kind, data))
+    with pytest.raises(MoveNotApplicable):
+        apply(parse_gauss("u:"), MoveInstance("R1-", (0, 1)))
+
+
+def test_apply_rejects_every_unlisted_removal_site():
+    # random adjacent pairs of random 3-6-crossing codes: apply accepts an
+    # R1-, R2- or R3 instance exactly when applicable lists it
+    rng = random.Random(10)
+    rejected = 0
+    for _ in range(300):
+        d = random_diagram(rng, rng.randint(3, 6), rng.randint(0, 1))
+        n = len(d.tokens)
+        listed = set(applicable(d))
+        pairs = [(i, (i + 1) % n) for i in rng.sample(range(n), 3)]
+        for mv in (
+            MoveInstance("R1-", pairs[0]),
+            MoveInstance("R2-", tuple(pairs[:2])),
+            MoveInstance("R3", tuple(pairs)),
+        ):
+            if mv in listed:
+                apply(d, mv)
+                continue
+            rejected += 1
+            with pytest.raises(MoveNotApplicable):
+                apply(d, mv)
+    assert rejected > 800
+
+
+def _plant_r3(rng, d):
+    """Splice the three pairs of an R3 pattern, form L (the braid pattern of
+    test_r3_swap_on_braid_pattern) or its mirror form R, on three fresh
+    crossings into random gaps; one time in four the signs are random."""
+    a, b, c = (max(d.crossings, default=0) + k for k in (1, 2, 3))
+    sign = rng.choice((1, -1))
+    sa, sb, sc = (rng.choice((1, -1)) for _ in range(3)) if rng.random() < 0.25 else (sign,) * 3
+    o_a, o_b, o_c = Passage(a, True, sa), Passage(b, True, sb), Passage(c, True, sc)
+    u_a, u_b, u_c = Passage(a, False, sa), Passage(b, False, sb), Passage(c, False, sc)
+    if rng.random() < 0.5:
+        pairs = [[o_a, o_b], [u_a, o_c], [u_b, u_c]]
+    else:
+        pairs = [[o_b, o_a], [o_c, u_a], [u_c, u_b]]
+    toks = list(d.tokens)
+    gaps = sorted((rng.randint(0, len(toks)) for _ in pairs), reverse=True)
+    rng.shuffle(pairs)
+    for gap, pair in zip(gaps, pairs):
+        toks[gap:gap] = pair
+    return Diagram(d.name, d.genus, tuple(toks))
+
+
+def _plant_r2(rng, d):
+    n = len(d.tokens)
+    spec = (rng.randint(0, n), rng.randint(0, n), rng.random() < 0.5, rng.random() < 0.5,
+            rng.choice((1, -1)))
+    return apply(d, MoveInstance("R2+", spec))
+
+
+def test_sites_and_moves_match_the_pairwise_oracle():
+    # seeded diagrams of 0-14 crossings at genus 0-2 with planted R2 and R3
+    # sites: the index finds the oracle's instances in the oracle's order,
+    # and apply gives the oracle's diagram for each
+    counts = {}
+    for seed in range(1500):
+        rng = random.Random(seed)
+        d = random_diagram(rng, rng.randint(0, 14), rng.randint(0, 2))
+        for _ in range(rng.randint(0, 2)):
+            d = _plant_r2(rng, d)
+        for _ in range(rng.randint(0, 2)):
+            d = _plant_r3(rng, d)
+        moves = applicable(d)
+        assert moves == oracle.applicable(d)
+        assert applicable(d, random.Random(seed)) == oracle.applicable(d, random.Random(seed))
+        for mv in moves:
+            counts[mv.kind] = counts.get(mv.kind, 0) + 1
+            assert apply(d, mv) == oracle.apply(d, mv), mv
+    assert counts["R1-"] > 500 and counts["R2-"] > 500 and counts["R3"] > 500
+    assert counts["SidePass"] > 500
+
+
+def test_side_cancellation_matches_the_restart_oracle():
+    # random words with inverse pairs already adjacent and nested pairs
+    # straddling the basepoint; passages and vertices never cancel
+    rng = random.Random(11)
+    letters = [SideToken(m, e) for m in (1, 2) for e in (1, -1)]
+    letters += [Passage(1, True, 1), Vertex(1)]
+    for _ in range(20000):
+        toks = [rng.choice(letters) for _ in range(rng.randint(0, 10))]
+        for _ in range(rng.randint(0, 2)):
+            x = rng.choice(letters[:4])
+            k = rng.randint(0, len(toks))
+            toks[k:k] = [x, SideToken(x.side, -x.sign)]
+        for _ in range(rng.randint(0, 3)):
+            x = rng.choice(letters[:4])
+            toks = [x, *toks, SideToken(x.side, -x.sign)]
+        assert _cancel_side_pairs(toks) == oracle._cancel_side_pairs(toks), toks
 
 
 def test_apply_preserves_validity_and_ids():
