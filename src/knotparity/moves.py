@@ -249,10 +249,30 @@ def _removal_site(d, move):
     raise MoveNotApplicable(move.describe())
 
 
+# insertion kind -> the values each field of its data may take (int: any int)
+_FIELDS = {
+    "R1+": (int, ("OU", "UO"), (1, -1)),  # gap, order, sign
+    "R2+": (int, int, (True, False), (True, False), (1, -1)),  # gaps, over_at_first, co, sign
+    "SidePass": (int, int, (1, -1)),  # crossing, side, delta
+    "Subdivide": (int,),  # gap
+}
+
+
+def _allowed(x, values):
+    """Whether x is an int, when ``values`` is int, or one of ``values`` of the same type."""
+    return type(x) is int if values is int else any(type(x) is type(v) and x == v for v in values)
+
+
 def apply(d, move):
-    """Apply a move instance; raises MoveNotApplicable on a stale site."""
+    """Apply a move instance; raises MoveNotApplicable on a stale site or on
+    data of the wrong shape, type or range."""
     toks = list(d.tokens)
     kind, data = move.kind, move.data
+    fields = _FIELDS.get(kind)
+    if fields and not (
+        isinstance(data, tuple) and len(data) == len(fields) and all(map(_allowed, data, fields))
+    ):
+        raise MoveNotApplicable(move.describe())
     if kind in ("R1-", "R2-"):
         site = _removal_site(d, move)
         drop = set(site) if kind == "R1-" else set(site[0] + site[1])
@@ -460,8 +480,13 @@ def verify_invariance(seed, trials, max_crossings, genus=0, invariant="s"):
 
     ``invariant`` is "s" (surface diagrams, all move kinds) or "nprime"
     (Gauss codes, classical move kinds only).  Failures are report entries,
-    never exceptions.
+    never exceptions; ``max_crossings`` outside 1..MAX_CROSSINGS or
+    ``genus`` outside 0..MAX_GENUS raises ValueError.
     """
+    if not (type(max_crossings) is int and 1 <= max_crossings <= MAX_CROSSINGS):
+        raise ValueError(f"max_crossings {max_crossings!r} is outside 1..{MAX_CROSSINGS}")
+    if not (type(genus) is int and 0 <= genus <= MAX_GENUS):
+        raise ValueError(f"genus {genus!r} is outside 0..{MAX_GENUS}")
     rng = random.Random(seed)
     genus = genus if invariant == "s" else 0
     rep = VerifyReport(seed, trials, invariant, max_crossings, genus)

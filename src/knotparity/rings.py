@@ -50,11 +50,12 @@ B, R = r0 + r1*p and Q at t=1 come back from the images by exact division by
 
 The quotient rings have zero divisors, but each image lies in a Laurent ring
 over Z, which is an integral domain.  So a determinant is computed image by
-image (see ``det`` and ``_bareiss_det``): first by plain Gaussian steps on
-pivots that are units of the Laurent ring (signed monomials such as -1, t or
--p*x1^-2, which every crossing row of the invariant matrices holds), which
-need no division at all, then by fraction-free Bareiss elimination on the
-rows and columns left, whose every division is exact.
+image (see ``det`` and ``_bareiss_det``), by one elimination loop: plain
+Gaussian steps on pivots that are units of the Laurent ring (signed
+monomials such as -1, t or -p*x1^-2, which every crossing row of the
+invariant matrices holds), which need no division at all, then
+fraction-free Bareiss steps on the rows and columns left, whose every
+division is exact.
 
 Packed exponents (after Monagan and Pearce, "Parallel sparse polynomial
 multiplication using heaps", 2009).  A ``LaurentPoly`` over n variables keys
@@ -325,10 +326,6 @@ class LaurentPoly:
         # over the variables.
         e = self._bound
         div, lead, lead_c, g_lo, g_hi, reach = divisor._as_divisor()
-        if len(div) == 1:  # a monomial: shift every exponent
-            if any(v % lead_c for v in self._terms.values()):
-                raise ValueError("division is not exact")
-            return _poly(self.vars, {k - lead: v // lead_c for k, v in self._terms.items()}, e + reach)
         _, ones, guard = _layout(len(self.vars))
         lo, hi = -e * ones - g_lo, e * ones - g_hi
         rem = dict(self._terms)
@@ -679,15 +676,13 @@ def det(rows, ring):
     The four ring maps are homomorphisms, so the determinant's images are
     the determinants of the four image matrices; each is computed over its
     Laurent ring by Gaussian steps on unit pivots, then fraction-free
-    elimination on the rest (``_bareiss_det``).
+    Bareiss steps on the rest, in one loop (``_bareiss_det``).
     The 0x0 determinant is the ring one.
     """
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise NonSquare(f"{len(row)} entries in a row of a {n}-row matrix")
-    if n == 0:
-        return ring.one()
     return QElement(
         ring,
         tuple(
@@ -704,56 +699,74 @@ def _bareiss_det(rows, vars):
     """Determinant over an integral domain of Laurent polynomials.
 
     ``rows`` is a square matrix as sparse rows {column: nonzero entry}, and
-    is consumed.  Two phases.
+    is consumed.  One loop eliminates a pivot per step from the live rows
+    and columns, those no step has taken yet, until none is left.
 
-    Phase 1 is plain Gaussian elimination on unit pivots.  A unit of the
-    Laurent ring is one term with coefficient +-1, whose inverse is a
-    monomial; every crossing row of the invariant matrices holds one (-1 on
-    an under-arc).  While some live row holds a unit, the one of lowest
-    Markowitz (1957) cost (r - 1)*(c - 1) is the pivot, r the nonzero count
-    of its row and c that of its column over live rows, ties going to the
-    lowest (row, column).  The pivot row is multiplied by the pivot's
-    inverse, and a times it is subtracted from every live row holding a in
-    the pivot column: no division, and no growth but what the products
-    bring.  A row that empties makes the determinant zero.
+    While no Bareiss step has run, a step takes a unit pivot if any live row
+    holds one.  A unit of the Laurent ring is one term with coefficient +-1,
+    whose inverse is a monomial; every crossing row of the invariant
+    matrices holds one (-1 on an under-arc).  The unit of lowest Markowitz
+    (1957) cost (r - 1)*(c - 1) is taken, r the nonzero count of its row and
+    c that of its column over live rows, ties going to the lowest (row,
+    column).  The step is plain Gaussian elimination: the pivot row is
+    multiplied by the pivot's inverse, and a times it is subtracted from
+    every live row holding a in the pivot column, with no division and no
+    growth but what the products bring.  Otherwise the step takes the entry
+    with the fewest terms in the lowest live column, ties going to the
+    lowest row, and ``_bareiss_step`` eliminates it.  No unit step follows a
+    Bareiss step, so the Bareiss steps run on the Schur complement the unit
+    steps leave, and each of their divisions is exact.
 
-    Phase 2 runs ``_bareiss_loop`` on the rows and columns left, the Schur
-    complement of the pivot block.  Ordered as the pivot sequence followed
-    by the indices left, the matrix is the pivot block (triangular after the
-    steps, its diagonal the pivots) over the complement, so the determinant
-    is the product of the pivots, a unit, times the complement's, times the
-    signs of that row order and that column order.
+    Moving the pivot to the first live row and column is a permutation of
+    sign (-1)^(r+c), r and c the pivot's places among the live rows and
+    columns; each step multiplies the sign by it.  After a unit step the
+    pivot is the only entry of its column, so the determinant is the sign
+    times the product of the unit pivots times the last Bareiss pivot, if
+    any.  A live row that empties, or a lowest live column with no entry,
+    makes it zero.
     """
     n = len(rows)
     cols = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    live = list(range(n))
+    live_rows, live_cols = list(range(n)), list(range(n))
     units = [_unit_columns(row) for row in rows]
-    pivot_rows, pivot_cols = [], []
-    unit = LaurentPoly.const(vars, 1)
-    while True:
+    unit, prev, sign = LaurentPoly.const(vars, 1), None, 1
+    while live_rows:
         best, best_cost = None, n * n
-        for i in live:
-            r = len(rows[i]) - 1
-            for j in units[i]:
-                cost = r * (len(cols[j]) - 1)
-                if cost < best_cost:
-                    best, best_cost = (i, j), cost
-            if best_cost == 0:
-                break  # no later row beats a zero cost
+        if prev is None:
+            for i in live_rows:
+                r = len(rows[i]) - 1
+                for j in units[i]:
+                    cost = r * (len(cols[j]) - 1)
+                    if cost < best_cost:
+                        best, best_cost = (i, j), cost
+                if best_cost == 0:
+                    break  # no later row beats a zero cost
         if best is None:
-            break
-        pi, pj = best
-        live.remove(pi)
+            pj = live_cols[0]
+            holders = [i for i in live_rows if pj in rows[i]]
+            if not holders:
+                return LaurentPoly.zero(vars)
+            pi = min(holders, key=lambda i: (len(rows[i][pj]._terms), i))
+        else:
+            pi, pj = best
+        if (live_rows.index(pi) + live_cols.index(pj)) % 2:
+            sign = -sign
+        live_rows.remove(pi)
+        live_cols.remove(pj)
         prow = rows[pi]
         for j in prow:
             cols[j].discard(pi)
-        u = prow.pop(pj)
-        unit = unit * u
-        ((uk, uc),) = u._terms.items()
-        inv = _poly(vars, {-uk: uc}, u._bound)
+        pivot = prow.pop(pj)
+        if best is None:
+            _bareiss_step(rows, live_rows, prow, pj, pivot, prev)
+            prev = pivot
+            continue
+        unit = unit * pivot
+        ((uk, uc),) = pivot._terms.items()
+        inv = _poly(vars, {-uk: uc}, pivot._bound)
         prow = [(j, e * inv) for j, e in prow.items()]
         for i in sorted(cols[pj]):
             row = rows[i]
@@ -773,54 +786,27 @@ def _bareiss_det(rows, vars):
             if not row:
                 return LaurentPoly.zero(vars)
             units[i] = _unit_columns(row)
-        cols[pj] = set()
-        pivot_rows.append(pi)
-        pivot_cols.append(pj)
-    pivoted = set(pivot_cols)
-    rest_cols = [j for j in range(n) if j not in pivoted]
-    renumber = {j: k for k, j in enumerate(rest_cols)}
-    rest = [{renumber[j]: e for j, e in rows[i].items()} for i in live]
-    sign = _order_sign(pivot_rows + live) * _order_sign(pivot_cols + rest_cols)
-    value = unit * _bareiss_loop(rest, vars) if rest else unit
+    value = unit if prev is None else unit * prev
     return value if sign > 0 else -value
 
 
-def _bareiss_loop(rows, vars):
-    """Phase 2 of ``_bareiss_det``: the determinant of a nonempty matrix.
+def _bareiss_step(rows, live_rows, prow, k, pivot, prev):
+    """Bareiss (1968) step on the pivot at column k of the row ``prow``.
 
-    ``rows`` is a square matrix as sparse rows {column: nonzero entry}, and
-    is consumed.  Bareiss (1968): step k turns every entry below and right
-    of the pivot into the (k+2)-minor  (p_k * m_ij - m_ik * m_kj) / p_(k-1),
-    where p_k is the step-k pivot and p_(-1) = 1 (a row with no entry in
-    column k just becomes p_k * m_ij / p_(k-1)); by Sylvester's identity
-    every division is exact, and the last pivot is the determinant.
-
-    The pivot is the entry in column k with the fewest terms, ties going to
-    the lowest row; each row swap flips the sign.
+    Every live row m becomes (pivot * m - m_k * prow) / prev, prev the
+    previous Bareiss pivot (no division on the first step); a row with no
+    entry in column k just becomes pivot * m / prev.  By Sylvester's
+    identity every entry so formed is a minor of the matrix the first
+    Bareiss step saw, so every division is exact.
     """
-    n = len(rows)
-    sign = 1
-    prev = None
-    for k in range(n):
-        candidates = [i for i in range(k, n) if k in rows[i]]
-        if not candidates:
-            return LaurentPoly.zero(vars)
-        i = min(candidates, key=lambda i: (len(rows[i][k]._terms), i))
-        if i != k:
-            rows[i], rows[k] = rows[k], rows[i]
-            sign = -sign
-        prow = rows[k]
-        pivot = prow.pop(k)
-        for i in range(k + 1, n):
-            row = rows[i]
-            a = row.pop(k, None)
-            new = {j: pivot * e for j, e in row.items()}
-            if a is not None:
-                for j, e in prow.items():
-                    new[j] = new[j] - a * e if j in new else -(a * e)
-            rows[i] = {j: e if prev is None else e.exact_div(prev) for j, e in new.items() if e._terms}
-        prev = pivot
-    return prev if sign > 0 else -prev
+    for i in live_rows:
+        row = rows[i]
+        a = row.pop(k, None)
+        new = {j: pivot * e for j, e in row.items()}
+        if a is not None:
+            for j, e in prow.items():
+                new[j] = new[j] - a * e if j in new else -(a * e)
+        rows[i] = {j: e if prev is None else e.exact_div(prev) for j, e in new.items() if e._terms}
 
 
 def _unit_columns(row):
@@ -829,17 +815,3 @@ def _unit_columns(row):
         [j for j, e in row.items() if len(e._terms) == 1 and abs(*e._terms.values()) == 1]
     )
 
-
-def _order_sign(order):
-    """The sign of the permutation i -> order[i] of range(len(order))."""
-    sign, seen = 1, [False] * len(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        j = order[start]
-        while j != start:  # a cycle of length L flips the sign L - 1 times
-            seen[j] = True
-            j = order[j]
-            sign = -sign
-    return sign

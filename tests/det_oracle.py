@@ -6,9 +6,12 @@ multiplication, so they are sound over rings with zero divisors and act on
 whole quotient-ring elements.  The package computes determinants by
 fraction-free elimination on each of the four images instead; the tests
 compare the two.
+
+``bareiss_loop`` is textbook Bareiss elimination on one image, with no unit
+steps: the "loop alone" oracle for ``knotparity.rings._bareiss_det``.
 """
 
-from knotparity.rings import NonSquare
+from knotparity.rings import LaurentPoly, NonSquare
 
 
 def _check_square(rows):
@@ -79,3 +82,41 @@ def cofactor_det(rows, ring):
         term = entry * cofactor_det(minor, ring)
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
+
+
+def bareiss_loop(rows, vars):
+    """Determinant of a nonempty matrix over an integral domain of Laurent polynomials.
+
+    ``rows`` is a square matrix as sparse rows {column: nonzero entry}, and
+    is consumed.  Bareiss (1968): step k turns every entry below and right
+    of the pivot into the (k+2)-minor  (p_k * m_ij - m_ik * m_kj) / p_(k-1),
+    where p_k is the step-k pivot and p_(-1) = 1 (a row with no entry in
+    column k just becomes p_k * m_ij / p_(k-1)); by Sylvester's identity
+    every division is exact, and the last pivot is the determinant.
+
+    The pivot is the entry in column k with the fewest terms, ties going to
+    the lowest row; each row swap flips the sign.
+    """
+    n = len(rows)
+    sign = 1
+    prev = None
+    for k in range(n):
+        candidates = [i for i in range(k, n) if k in rows[i]]
+        if not candidates:
+            return LaurentPoly.zero(vars)
+        i = min(candidates, key=lambda i: (len(rows[i][k]._terms), i))
+        if i != k:
+            rows[i], rows[k] = rows[k], rows[i]
+            sign = -sign
+        prow = rows[k]
+        pivot = prow.pop(k)
+        for i in range(k + 1, n):
+            row = rows[i]
+            a = row.pop(k, None)
+            new = {j: pivot * e for j, e in row.items()}
+            if a is not None:
+                for j, e in prow.items():
+                    new[j] = new[j] - a * e if j in new else -(a * e)
+            rows[i] = {j: e if prev is None else e.exact_div(prev) for j, e in new.items() if e._terms}
+        prev = pivot
+    return prev if sign > 0 else -prev

@@ -6,12 +6,13 @@ Berkowitz recurrence on whole elements.  Both must agree on the invariant
 matrices of the fixtures and of seeded random diagrams, and on seeded random
 matrices chosen to be singular in some or all images.
 
-Each image's elimination runs in two phases: Gaussian steps on unit pivots,
-then the Bareiss loop on what is left.  The Bareiss loop run alone on the
-whole image matrix is a second oracle, and seeded matrices are built to
-reach each phase alone: no unit entry (only the loop runs), a signed
-permutation of units and a triangle with unit diagonal (only unit steps
-run), and a row emptied by the unit steps.
+Each image's elimination is one loop of Gaussian steps on unit pivots,
+then Bareiss steps on what is left.  Textbook Bareiss elimination run alone
+on the whole image matrix is a second oracle, and seeded matrices are built
+to take one kind of step only: no unit entry (only Bareiss steps), a signed
+permutation of units and a triangle with unit diagonal (only unit steps),
+and a row emptied by the unit steps.  Diagrams of 25-45 crossings give the
+Bareiss steps rests of more than a few rows, where they divide.
 """
 
 import pathlib
@@ -24,9 +25,9 @@ from knotparity.diagram import parse_file
 from knotparity.matrix import build_M, build_Npp
 from knotparity.moves import random_diagram
 from knotparity.parity import hierarchy_types, parity_map
-from knotparity.rings import _bareiss_det, _bareiss_loop, det, g_ring, rprime_ring
+from knotparity.rings import _bareiss_det, det, g_ring, rprime_ring
 
-from det_oracle import berkowitz_det
+from det_oracle import bareiss_loop, berkowitz_det
 from test_rings import rand_matrix_elem
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -51,28 +52,38 @@ def _checked_det(rows, ring):
     value = det(rows, ring)
     assert value == berkowitz_det(rows, ring), [[e.render() for e in row] for row in rows]
     if rows:
-        for c in range(4):
-            loop_alone = _bareiss_loop(_image_rows(rows, c), ring.vars)
-            assert _bareiss_det(_image_rows(rows, c), ring.vars) == loop_alone == value.parts[c]
+        _check_images_against_loop(rows, ring, value)
     return value
 
 
-@pytest.fixture
-def rest_sizes(monkeypatch):
-    """rest_sizes(rows, ring) runs det and lists, per image that reaches the
-    Bareiss loop, the size of the matrix the unit steps left."""
-    sizes = []
+def _check_images_against_loop(rows, ring, value):
+    for c in range(4):
+        loop_alone = bareiss_loop(_image_rows(rows, c), ring.vars)
+        assert _bareiss_det(_image_rows(rows, c), ring.vars) == loop_alone == value.parts[c]
 
-    def spy(rows, vars):
-        sizes.append(len(rows))
-        return _bareiss_loop(rows, vars)
+
+@pytest.fixture
+def bareiss_sizes(monkeypatch):
+    """bareiss_sizes(rows, ring) runs ``_bareiss_det`` on each image and
+    lists, per image, the number of live rows at each Bareiss step it takes.
+    Every step takes one live row, so the first Bareiss step of an n-row
+    image sees n rows exactly when no unit step ran before it."""
+    sizes = []
+    step = rings._bareiss_step
+
+    def spy(rows, live_rows, *args):
+        sizes.append(len(live_rows) + 1)  # the pivot row has left live_rows
+        return step(rows, live_rows, *args)
 
     def run(rows, ring):
-        sizes.clear()
-        det(rows, ring)
-        return list(sizes)
+        per_image = []
+        for c in range(4):
+            sizes.clear()
+            _bareiss_det(_image_rows(rows, c), ring.vars)
+            per_image.append(list(sizes))
+        return per_image
 
-    monkeypatch.setattr(rings, "_bareiss_loop", spy)
+    monkeypatch.setattr(rings, "_bareiss_step", spy)
     return run
 
 
@@ -142,17 +153,22 @@ def test_det_matches_berkowitz_on_singular_matrices():
             assert psi1.is_zero and psi2.is_zero
 
 
-def test_det_without_unit_entries_is_the_bareiss_loop(rest_sizes):
+def test_det_without_unit_entries_is_the_bareiss_loop(bareiss_sizes):
     rng = random.Random(81)
     for trial in range(30):
         ring = RINGS[trial % 3]
         n = rng.randint(1, 5)
         rows = _non_unit_rows(rng, ring, n, n)
-        _checked_det(rows, ring)
-        assert rest_sizes(rows, ring) == [n] * 4
+        value = _checked_det(rows, ring)
+        for sizes, image in zip(bareiss_sizes(rows, ring), value.parts):
+            # every step is a Bareiss step, and all n are taken unless the
+            # image's determinant is zero
+            assert sizes == list(range(n, 0, -1))[: len(sizes)]
+            if not image.is_zero:
+                assert len(sizes) == n
 
 
-def test_det_of_signed_unit_permutations(rest_sizes):
+def test_det_of_signed_unit_permutations(bareiss_sizes):
     rng = random.Random(82)
     signs = set()
     for trial in range(30):
@@ -163,7 +179,7 @@ def test_det_of_signed_unit_permutations(rest_sizes):
         for i, j in enumerate(perm):
             rows[i][j] = _unit(rng, ring)
         value = _checked_det(rows, ring)
-        assert rest_sizes(rows, ring) == []
+        assert bareiss_sizes(rows, ring) == [[]] * 4
         product = ring.one()
         for i, j in enumerate(perm):
             product = product * rows[i][j]
@@ -172,7 +188,7 @@ def test_det_of_signed_unit_permutations(rest_sizes):
     assert signs == {True, False}
 
 
-def test_det_of_unit_triangles_needs_no_bareiss(rest_sizes):
+def test_det_of_unit_triangles_needs_no_bareiss(bareiss_sizes):
     rng = random.Random(83)
     for trial in range(30):
         ring = RINGS[trial % 3]
@@ -183,11 +199,11 @@ def test_det_of_unit_triangles_needs_no_bareiss(rest_sizes):
             row[i] = _unit(rng, ring)
         rows = _shuffled(rng, rows)
         value = _checked_det(rows, ring)
-        assert rest_sizes(rows, ring) == []
+        assert bareiss_sizes(rows, ring) == [[]] * 4
         assert not any(x.is_zero for x in value.parts)
 
 
-def test_det_zero_when_unit_steps_empty_a_row(rest_sizes):
+def test_det_zero_when_unit_steps_empty_a_row(bareiss_sizes):
     rng = random.Random(84)
     for trial in range(30):
         ring = RINGS[trial % 3]
@@ -199,7 +215,17 @@ def test_det_zero_when_unit_steps_empty_a_row(rest_sizes):
         rows = [first] + _non_unit_rows(rng, ring, n - 2, n) + [[u * e for e in first]]
         rows = _shuffled(rng, rows)
         assert _checked_det(rows, ring).is_zero
-        assert rest_sizes(rows, ring) == []
+        assert bareiss_sizes(rows, ring) == [[]] * 4
+
+
+def test_det_takes_no_unit_step_after_a_bareiss_step(bareiss_sizes):
+    # no entry is a unit, but the first Bareiss step (pivot 2) turns row 1
+    # into (1, 4): a unit step on that 1 would skip the division by 2 that
+    # the last Bareiss step owes, and give -12
+    for ring in RINGS:
+        rows = [[ring.element(c) if c else ring.zero() for c in row] for row in ((2, 3, 0), (3, 5, 2), (0, 2, 2))]
+        assert _checked_det(rows, ring) == ring.element(-6)
+        assert bareiss_sizes(rows, ring) == [[3, 2, 1]] * 4
 
 
 def test_det_matches_both_oracles_on_mixed_matrices():
@@ -209,3 +235,15 @@ def test_det_matches_both_oracles_on_mixed_matrices():
         n = rng.randint(1, 6)
         kinds = (ring.zero, lambda: _unit(rng, ring), lambda: _non_unit(rng, ring), lambda: rand_matrix_elem(rng, ring))
         _checked_det([[rng.choice(kinds)() for _ in range(n)] for _ in range(n)], ring)
+
+
+def test_det_matches_the_bareiss_loop_on_large_diagrams(bareiss_sizes):
+    rng = random.Random(2045)
+    longest = 0
+    for _ in range(8):
+        d = random_diagram(rng, rng.randint(25, 45), rng.randint(0, 2))
+        for m, rows, ring in _invariant_matrices(d):
+            _check_images_against_loop(rows, ring, m.det())
+            longest = max(longest, *map(len, bareiss_sizes(rows, ring)))
+    # some image takes four Bareiss steps, three of which divide
+    assert longest >= 4

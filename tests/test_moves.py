@@ -14,7 +14,10 @@ from knotparity.diagram import (
     parse_surface,
 )
 from knotparity.invariant import EQUIVALENT, compare, s_invariant
+from knotparity import moves
+from knotparity.diagram import MAX_GENUS
 from knotparity.moves import (
+    MAX_CROSSINGS,
     MoveInstance,
     MoveNotApplicable,
     _cancel_side_pairs,
@@ -162,6 +165,45 @@ def test_apply_rejects_non_sites_and_malformed_data():
         apply(parse_gauss("u:"), MoveInstance("R1-", (0, 1)))
 
 
+def test_apply_rejects_malformed_insertion_data():
+    # each bad instance breaks one of the good ones below in its shape, the
+    # type of a field, or the range of an order, sign or delta
+    d = parse_surface("genus 1; k: O1+ x1+ U1+")
+    good = [
+        ("R1+", (0, "OU", 1)),
+        ("R2+", (0, 1, True, False, -1)),
+        ("SidePass", (1, 1, -1)),
+        ("Subdivide", (1,)),
+    ]
+    for kind, data in good:
+        apply(d, MoveInstance(kind, data))
+    bad = [
+        ("R1+", 5),
+        ("R1+", (0, "OU")),
+        ("R1+", [0, "OU", 1]),
+        ("R1+", (0.0, "OU", 1)),
+        ("R1+", (True, "OU", 1)),
+        ("R1+", (0, "OO", 1)),
+        ("R1+", (0, "UU", 1)),
+        ("R1+", (0, "OU", 7)),
+        ("R1+", (0, "OU", 1.0)),
+        ("R2+", (0, 1)),
+        ("R2+", (0, 1.5, True, False, -1)),
+        ("R2+", (0, 1, 1, False, -1)),
+        ("R2+", (0, 1, True, False, 0)),
+        ("SidePass", (1, 1)),
+        ("SidePass", (1, 1, 7)),
+        ("SidePass", (1, 1, True)),
+        ("SidePass", ("1", 1, 1)),
+        ("Subdivide", ("x",)),
+        ("Subdivide", (1.0,)),
+        ("Subdivide", 1),
+    ]
+    for kind, data in bad:
+        with pytest.raises(MoveNotApplicable):
+            apply(d, MoveInstance(kind, data))
+
+
 def test_apply_rejects_every_unlisted_removal_site():
     # random adjacent pairs of random 3-6-crossing codes: apply accepts an
     # R1-, R2- or R3 instance exactly when applicable lists it
@@ -276,6 +318,26 @@ def test_verify_deterministic_and_clean():
     rep3 = verify_invariance(seed=43, trials=12, max_crossings=5, invariant="nprime")
     assert rep3.ok
     assert "zero counterexamples" in rep3.render()
+
+
+def test_verify_rejects_out_of_range_arguments(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a diagram")
+
+    monkeypatch.setattr(moves, "random_diagram", no_draw)
+    bad = [
+        {"max_crossings": 0},
+        {"max_crossings": MAX_CROSSINGS + 1},
+        {"max_crossings": 11000},
+        {"max_crossings": 2.0},
+        {"max_crossings": 5, "genus": -1},
+        {"max_crossings": 5, "genus": MAX_GENUS + 1},
+        {"max_crossings": 5, "genus": 1.0},
+        {"max_crossings": 5, "genus": -1, "invariant": "nprime"},
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            verify_invariance(0, 1, **kwargs)
 
 
 def test_r2_plus_forced_odd_pair_on_virtual_trefoil():
