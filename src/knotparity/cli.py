@@ -12,6 +12,7 @@ or a Distinct verdict under --expect-equivalent.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -38,15 +39,6 @@ def _load(path, lenient):
     for lineno, msg in errors:
         print(f"warning: line {lineno} skipped: {msg}", file=sys.stderr)
     return diagrams
-
-
-def _unit_dict(rec):
-    return {
-        "sign": rec.sign,
-        "t_shift": rec.t_shift,
-        "p_shift": rec.p_shift,
-        "q_power": rec.q_power,
-    }
 
 
 def cmd_parity(args):
@@ -101,7 +93,7 @@ def cmd_invariant(args):
                     "name": d.name,
                     "ring": value.tag,
                     "canonical": value.render(),
-                    "unit_record": _unit_dict(value.record),
+                    "unit_record": dataclasses.asdict(value.record),
                     "parity": {str(c): par[c] for c in sorted(par)},
                     "types": {str(c): types[c] for c in sorted(types)},
                 }
@@ -147,15 +139,12 @@ def cmd_compare(args):
     except KeyError as exc:
         print(f"error: no diagram named {exc}", file=sys.stderr)
         return 1
-    if args.type == "s":
-        v1, v2 = s_invariant(d1), s_invariant(d2)
-    else:
-        v1, v2 = nprime_invariant(d1), nprime_invariant(d2)
-    res = compare(v1, v2)
+    inv = s_invariant if args.type == "s" else nprime_invariant
+    res = compare(inv(d1), inv(d2))
     if args.json:
         out = {"verdict": res.verdict}
         if res.unit is not None:
-            out["unit"] = _unit_dict(res.unit)
+            out["unit"] = dataclasses.asdict(res.unit)
             out["expressed"] = res.expressed
         print(json.dumps(out, indent=2))
     else:

@@ -1,7 +1,8 @@
 """Invariant values, unit normalization, and equivalence-up-to-units.
 
-The determinants are defined only up to units +- t^a p^b q^c, so values are
-stored as a canonical orbit representative plus the unit that was applied.
+The determinants are defined only up to units +- t^a p^b q^c.  A value keeps
+its determinant as computed; deciding equivalence works on that, and a
+canonical orbit representative is built only when something prints it.
 
 Elements are stored as their images psi1..psi4 under the four ring maps of
 ``rings`` (p=1; t=1; p=t with q=1-t; p=t with q=t-1), and a unit
@@ -11,19 +12,26 @@ Elements are stored as their images psi1..psi4 under the four ring maps of
     psi2 -- picks up p^b            (fixes b when nonzero)
     psi3, psi4 -- pick up t^(a+b)   (fix a+b when either is nonzero)
 
-Normalization takes a and b from the lowest exponents of psi1 and psi2 and,
+``_shifted`` takes a and b from the lowest exponents of psi1 and psi2 and,
 where one of those images vanishes, the missing shift from the lowest
 exponent of psi3 and psi4.  Whenever a shift is left free by vanishing
 images, the corresponding unit action is trivial on the element, so pinning
-the free exponent to zero still yields a canonical orbit representative: the
-result satisfies canonical(u*x) == canonical(x) exactly.  The sign is fixed
-by making the leading coefficient of the rendered form positive in the fixed
-monomial order.
+the free exponent to zero still fixes the orbit up to sign: the shifted
+element satisfies shift(u*x) == +-shift(x) exactly.
+
+``compare`` decides on the shifted images alone: x and y agree up to
++- t^a p^b iff shift(x) == shift(y) or shift(x) == -shift(y), and the sign
+is determined, because a nonzero element never equals its negative (the
+images lie in Laurent rings over Z).  ``normalize``, for printing only,
+fixes that sign too, by making the leading coefficient of the rendered form
+positive in the fixed monomial order; this needs the canonical pair, so
+``InvariantValue`` computes it on first use and caches it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import rings
 from .matrix import build_M, build_Npp, build_N_presentation
@@ -45,17 +53,29 @@ class UnitRecord:
 @dataclass(frozen=True)
 class InvariantValue:
     tag: str
-    element: object          # canonical orbit representative (QElement)
-    record: UnitRecord       # element == sign * t^a * p^b * original
+    det: object              # the determinant as computed (QElement)
+
+    @cached_property
+    def _normal(self):
+        return normalize(self.det)
+
+    @property
+    def element(self):
+        """Canonical orbit representative of the determinant."""
+        return self._normal[0]
+
+    @property
+    def record(self):
+        """The unit with element == sign * t^a * p^b * det."""
+        return self._normal[1]
 
     @property
     def is_zero(self):
-        return self.element.is_zero
+        return self.det.is_zero
 
     def original(self):
-        """Undo the normalization."""
-        r = self.record
-        return self.element.times_unit(r.sign, -r.t_shift, -r.p_shift)
+        """The determinant, before any normalization."""
+        return self.det
 
     def render(self):
         return self.element.render()
@@ -73,14 +93,8 @@ def _min_exp(poly, var):
     return None if rng is None else rng[0]
 
 
-def normalize(elem):
-    """Canonical orbit representative under units +- t^a p^b.
-
-    Returns (representative, UnitRecord) with
-    representative == sign * t^a * p^b * elem.
-    """
-    if elem.is_zero:
-        return elem, UnitRecord(1, 0, 0)
+def _shifted(elem):
+    """(w, a, b) with w = t^a * p^b * elem, canonical in elem's orbit up to sign."""
     psi1, psi2, psi3, psi4 = elem.parts
     alpha = None if psi1.is_zero else -_min_exp(psi1, "t")
     beta = None if psi2.is_zero else -_min_exp(psi2, "p")
@@ -92,26 +106,32 @@ def normalize(elem):
         alpha = (delta - beta) if delta is not None else 0
     elif beta is None:
         beta = (delta - alpha) if delta is not None else 0
-    w = elem.times_unit(1, alpha, beta)
-    sign = 1
+    return elem.times_unit(1, alpha, beta), alpha, beta
+
+
+def normalize(elem):
+    """Canonical orbit representative under units +- t^a p^b.
+
+    Returns (representative, UnitRecord) with
+    representative == sign * t^a * p^b * elem.
+    """
+    w, alpha, beta = _shifted(elem)
     if w.to_full_poly().leading_coeff() < 0:
-        sign = -1
-        w = -w
-    return w, UnitRecord(sign, alpha, beta)
+        return -w, UnitRecord(-1, alpha, beta)
+    return w, UnitRecord(1, alpha, beta)
 
 
 def make_value(tag, elem):
-    w, rec = normalize(elem)
-    return InvariantValue(tag, w, rec)
+    return InvariantValue(tag, elem)
 
 
 def s_invariant(d):
-    """Determinant invariant of a surface diagram, canonicalized."""
+    """Determinant invariant of a surface diagram."""
     return make_value("G", build_M(d, parity_map(d)).det())
 
 
 def nprime_invariant(d):
-    """Hierarchy invariant of a Gauss diagram, canonicalized."""
+    """Hierarchy invariant of a Gauss diagram."""
     return make_value("Rprime", build_Npp(d, hierarchy_types(d)).det())
 
 
@@ -120,54 +140,30 @@ def n_presentation(d):
     return build_N_presentation(d, hierarchy_types(d))
 
 
-def _value(x):
-    """(normalized value, original element) of a value or a bare element."""
-    if isinstance(x, InvariantValue):
-        return x, x.original()
-    return make_value(x.ring.tag, x), x
-
-
-def _unit_between(va, vb, q_power=0):
-    """If the canonical orbits agree, the unit u with vb's original == u * va's."""
-    if va.element != vb.element:
-        return None
-    ra, rb = va.record, vb.record
-    return UnitRecord(
-        ra.sign * rb.sign, ra.t_shift - rb.t_shift, ra.p_shift - rb.p_shift, q_power
-    )
-
-
 def compare(first, second):
     """Decide equivalence up to +- t^a p^b q^c with c in {0, 1}.
 
-    Accepts InvariantValue or bare elements over the same ring; stored
-    values are not normalized again, only the q-multiples are.  Zero is
+    Accepts InvariantValue or bare elements over the same ring, and decides
+    on the shifted determinants without normalizing them.  Zero is
     equivalent only to zero.  The q-power is searched in {0, 1} only: as a
     multiplier, q^2 rewrites to the q-free (1-t)(1-p) and stops acting as a
     monomial unit.
     """
-    va, a = _value(first)
-    vb, b = _value(second)
+    a, b = (x.det if isinstance(x, InvariantValue) else x for x in (first, second))
     if a.ring != b.ring:
         raise rings.RingMismatch(f"{a.ring} vs {b.ring}")
-    if a.is_zero or b.is_zero:
-        if a.is_zero and b.is_zero:
-            return ComparisonResult(EQUIVALENT, UnitRecord(1, 0, 0), "second_from_first")
+    if a.is_zero != b.is_zero:
         return ComparisonResult(DISTINCT)
-
-    unit = _unit_between(va, vb)
-    if unit is not None:
-        _verify(a, b, unit, "second_from_first")
-        return ComparisonResult(EQUIVALENT, unit, "second_from_first")
-    for src, dst, vdst, expressed in (
-        (a, b, vb, "second_from_first"),
-        (b, a, va, "first_from_second"),
+    for q_power, src, dst, expressed in (
+        (0, a, b, "second_from_first"),
+        (1, a, b, "second_from_first"),
+        (1, b, a, "first_from_second"),
     ):
-        qsrc = src.times_q()
-        if qsrc.is_zero:
-            continue
-        unit = _unit_between(make_value(va.tag, qsrc), vdst, q_power=1)
-        if unit is not None:
+        moved = src.times_q() if q_power else src
+        (ws, a_src, b_src), (wd, a_dst, b_dst) = _shifted(moved), _shifted(dst)
+        sign = 1 if ws == wd else -1 if ws == -wd else 0
+        if sign:
+            unit = UnitRecord(sign, a_src - a_dst, b_src - b_dst, q_power)
             _verify(src, dst, unit, expressed)
             return ComparisonResult(EQUIVALENT, unit, expressed)
     return ComparisonResult(DISTINCT)

@@ -480,9 +480,11 @@ def verify_invariance(seed, trials, max_crossings, genus=0, invariant="s"):
 
     ``invariant`` is "s" (surface diagrams, all move kinds) or "nprime"
     (Gauss codes, classical move kinds only).  Failures are report entries,
-    never exceptions; ``max_crossings`` outside 1..MAX_CROSSINGS or
-    ``genus`` outside 0..MAX_GENUS raises ValueError.
+    never exceptions; ``trials`` below 1, ``max_crossings`` outside
+    1..MAX_CROSSINGS or ``genus`` outside 0..MAX_GENUS raises ValueError.
     """
+    if not (type(trials) is int and trials >= 1):
+        raise ValueError(f"trials {trials!r} is not an integer of at least 1")
     if not (type(max_crossings) is int and 1 <= max_crossings <= MAX_CROSSINGS):
         raise ValueError(f"max_crossings {max_crossings!r} is outside 1..{MAX_CROSSINGS}")
     if not (type(genus) is int and 0 <= genus <= MAX_GENUS):

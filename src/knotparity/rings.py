@@ -282,19 +282,6 @@ class LaurentPoly:
                 r[k] = get(k, 0) + v1 * v2
         return _poly(self.vars, {k: v for k, v in r.items() if v}, bound)
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power on a polynomial")
-        result = LaurentPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def exact_div(self, divisor):
         """The quotient h with self == h * divisor; raises ValueError if none.
 

@@ -46,6 +46,14 @@ def subs_inverse(poly, src, dst):
     return LaurentPoly(poly.vars, r)
 
 
+def _power(base, n):
+    """The n-th power of base, n >= 0, by repeated multiplication."""
+    result = LaurentPoly.const(base.vars, 1)
+    for _ in range(n):
+        result = result * base
+    return result
+
+
 def oracle_reduce(poly):
     """Rewrite-fixpoint reduction of a polynomial over ``RAW_VARS``."""
     vars = RAW_VARS
@@ -72,10 +80,10 @@ def oracle_reduce(poly):
                 rest["r"] = rest["p"] = rest["s"] = 0
                 if qe:
                     rest["q"] = 0
-                    extra = extra * ((one - t) ** qe)
+                    extra = extra * _power(one - t, qe)
                 if we >= 2:
                     rest["w"] = we % 2
-                    extra = extra * (c_trs ** (we // 2))
+                    extra = extra * _power(c_trs, we // 2)
                 piece = LaurentPoly.monomial(vars, coef, **rest) * extra
             elif qe >= 1:
                 extra = one
@@ -84,7 +92,7 @@ def oracle_reduce(poly):
                     rest["p"] = 0
                 if qe >= 2:
                     rest["q"] = qe % 2
-                    extra = c_tp ** (qe // 2)
+                    extra = _power(c_tp, qe // 2)
                 piece = LaurentPoly.monomial(vars, coef, **rest) * extra
             else:
                 piece = LaurentPoly(vars, {key: coef})

@@ -6,7 +6,7 @@ break traced runs only when one is made."""
 import importlib.util
 import pathlib
 
-from knotparity import rings
+from knotparity import cli, rings
 from knotparity.diagram import parse_file
 from knotparity.matrix import build_M, build_Npp
 from knotparity.parity import hierarchy_types, parity_map
@@ -46,3 +46,21 @@ def test_every_observer_reads_a_real_return_value():
         for value in returned[name]:
             seen = observe(value)
             assert type(seen) is int and seen >= 0, (name, seen)
+
+
+def test_invariant_json_records_normalize_and_det_spans(capsys):
+    """``invariant --json`` normalizes only to print, after the value is built;
+    that normalize must still be seen through the probed module attribute."""
+    fixture = str(ROOT / "fixtures" / "torus_pair.surf")
+    tracer = _load_spans().Tracer()
+    with tracer.installed():
+        assert cli.run(["invariant", "--type", "s", "--json", fixture]) == 0
+    capsys.readouterr()
+    names = [name for name, _, _, _ in tracer.spans]
+    assert "rings.det" in names
+    # make_value spans sit inside invariant.entry; the printing one does not
+    printed = [
+        parent for name, _, _, parent in tracer.spans
+        if name == "invariant.normalize" and (parent < 0 or names[parent] != "invariant.entry")
+    ]
+    assert printed, names

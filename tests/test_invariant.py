@@ -1,3 +1,4 @@
+import json
 import pathlib
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotparity.cli import run
 from knotparity.diagram import parse_file, parse_gauss, parse_line, parse_surface
 from knotparity.invariant import (
     DISTINCT,
@@ -15,8 +17,8 @@ from knotparity.invariant import (
     nprime_invariant,
     s_invariant,
 )
-from knotparity.moves import MoveInstance, apply, random_diagram
-from knotparity.rings import LaurentPoly, RingMismatch, g_ring, rprime_ring
+from knotparity.moves import MoveInstance, apply, random_diagram, verify_invariance
+from knotparity.rings import LaurentPoly, QElement, RingMismatch, g_ring, rprime_ring
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -115,6 +117,11 @@ def test_compare_zero_only_equivalent_to_zero():
     assert compare(zero, zero).verdict == EQUIVALENT
     assert compare(zero, one).verdict == DISTINCT
     assert compare(one, zero).verdict == DISTINCT
+    # q*(p-t) = 0, so a q-multiple must not let p-t match zero
+    p_minus_t = make_value("G", G1.element(p=1) - G1.element(t=1))
+    assert p_minus_t.original().times_q().is_zero
+    assert compare(p_minus_t, zero).verdict == DISTINCT
+    assert compare(zero, p_minus_t).verdict == DISTINCT
 
 
 def test_compare_ring_mismatch(torus_pair):
@@ -196,3 +203,29 @@ def test_detour_style_renumbering_gives_equal_canonical_values():
         assert nprime_invariant(d2).element == nprime_invariant(d).element
         for k in range(len(d.tokens)):
             assert nprime_invariant(d.rotated(k)).element == nprime_invariant(d).element
+
+
+def test_deciding_never_builds_the_canonical_pair(torus_pair, monkeypatch, capsys):
+    """Only printing normalizes: values, compare and verify decide on the
+    determinants' images and never rebuild the canonical pair."""
+
+    def no_pair(self):
+        raise AssertionError("built the canonical pair")
+
+    monkeypatch.setattr(QElement, "canonical_pair", no_pair)
+    for invariant in ("s", "nprime"):
+        report = verify_invariance(5, 6, 6, 2, invariant)
+        assert report.ok and report.compares > 0
+    v112, v113 = s_invariant(torus_pair["1.12"]), s_invariant(torus_pair["1.13bar"])
+    assert compare(v112, v113).verdict == DISTINCT
+    assert compare(v113, v113).verdict == EQUIVALENT
+    res = compare(v112, v112.original().times_q().times_unit(-1, 2, 0))
+    assert (res.verdict, res.unit.q_power) == (EQUIVALENT, 1)
+    path = str(FIXTURES / "torus_pair.surf")
+    assert run(["compare", path, "1.12", "1.13bar"]) == 0
+    assert capsys.readouterr().out.strip() == DISTINCT
+    assert run(["compare", path, "1.12", "1.12", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == EQUIVALENT
+    path = str(FIXTURES / "sample.gauss")
+    assert run(["compare", path, "vtrefoil", "four1", "--type", "nprime", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == DISTINCT

@@ -338,6 +338,9 @@ def test_verify_rejects_out_of_range_arguments(monkeypatch):
     for kwargs in bad:
         with pytest.raises(ValueError):
             verify_invariance(0, 1, **kwargs)
+    for trials in (0, -5, 2.0, True):
+        with pytest.raises(ValueError):
+            verify_invariance(0, trials, 3)
 
 
 def test_r2_plus_forced_odd_pair_on_virtual_trefoil():
