@@ -175,8 +175,12 @@ def cmd_verify(args):
         reports.append(rep)
         print(rep.render())
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump([r.to_json() for r in reports], fh, indent=2)
+        try:
+            with open(args.report, "w") as fh:
+                json.dump([r.to_json() for r in reports], fh, indent=2)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 0 if all(r.ok for r in reports) else 2
 
 

@@ -291,17 +291,6 @@ class Arc:
     incidences: tuple
 
 
-@dataclass(frozen=True)
-class ArcTable:
-    arcs: tuple
-
-    def by_origin(self):
-        return {(a.origin_kind, a.origin): a for a in self.arcs}
-
-    def __len__(self):
-        return len(self.arcs)
-
-
 # what a token does to the walk: (STOP, site, kind) ends the running arc there
 # and starts the next, (OVER, site, kind) records an over-incidence, (STEP, k,
 # e) adds e to label coordinate k, and None ignores the token
@@ -314,8 +303,9 @@ def walk(tokens, width, action):
     ``action(token)`` says what each token does (see STOP, OVER, STEP).
     Each arc starts with an "out" incidence at its stop, records an "over"
     incidence at every over-token and ends with an "in" incidence at the
-    next stop; its label, ``width`` exponents, is zero at the origin.  Arcs
-    come in the order of their stops; no stop gives the empty table.
+    next stop; its label, ``width`` exponents, is zero at the origin.
+    Returns the tuple of ``Arc`` in the order of their stops; no stop gives
+    the empty tuple.
     """
     acts = [action(tok) for tok in tokens]
     n = len(acts)
@@ -338,7 +328,7 @@ def walk(tokens, width, action):
             if what == STOP:
                 break
         table.append(Arc(origin, okind, tuple(incs)))
-    return ArcTable(tuple(table))
+    return tuple(table)
 
 
 def _surface_action(tok):
@@ -354,8 +344,8 @@ def arcs(d):
 
     An arc starts just after an under-passage (or subdivision vertex) and
     ends at the next one; its label vector is zero at the origin and moves by
-    +-1 in coordinate m at each side token.  The table is empty for a
-    diagram with no delimiters.
+    +-1 in coordinate m at each side token.  Returns a tuple of ``Arc``,
+    empty for a diagram with no delimiters.
     """
     return walk(d.tokens, 2 * d.genus, _surface_action)
 
@@ -367,8 +357,9 @@ def short_arcs(d, types):
     Passing a type-0 crossing of sign e multiplies the running label by s^e
     on the under strand and s^-e on the over strand, so each incidence
     carries the one-entry label (s exponent,); over-passages at type-1/2
-    crossings are recorded as incidences.  All crossings type 0 gives the
-    empty table; a crossing missing from ``types`` raises KeyError.
+    crossings are recorded as incidences.  Returns a tuple of ``Arc``; all
+    crossings type 0 gives the empty tuple, and a crossing missing from
+    ``types`` raises KeyError.
     """
 
     def action(tok):

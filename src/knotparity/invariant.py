@@ -88,17 +88,12 @@ class ComparisonResult:
     expressed: str | None = None   # "second_from_first" | "first_from_second"
 
 
-def _min_exp(poly, var):
-    rng = poly.exponent_range(var)
-    return None if rng is None else rng[0]
-
-
 def _shifted(elem):
     """(w, a, b) with w = t^a * p^b * elem, canonical in elem's orbit up to sign."""
     psi1, psi2, psi3, psi4 = elem.parts
-    alpha = None if psi1.is_zero else -_min_exp(psi1, "t")
-    beta = None if psi2.is_zero else -_min_exp(psi2, "p")
-    mins = [_min_exp(x, "t") for x in (psi3, psi4) if not x.is_zero]
+    alpha = None if psi1.is_zero else -psi1.exponent_range("t")[0]
+    beta = None if psi2.is_zero else -psi2.exponent_range("p")[0]
+    mins = [x.exponent_range("t")[0] for x in (psi3, psi4) if not x.is_zero]
     delta = -min(mins) if mins else None
     if alpha is None and beta is None:
         alpha, beta = 0, (delta if delta is not None else 0)
@@ -116,7 +111,9 @@ def normalize(elem):
     representative == sign * t^a * p^b * elem.
     """
     w, alpha, beta = _shifted(elem)
-    if w.to_full_poly().leading_coeff() < 0:
+    terms = w.to_full_poly().terms.items()
+    _, lead = max(terms, key=lambda kv: (sum(kv[0]), kv[0]), default=((), 0))
+    if lead < 0:
         return -w, UnitRecord(-1, alpha, beta)
     return w, UnitRecord(1, alpha, beta)
 

@@ -18,7 +18,7 @@ contribute the row  -1 * out + x^label * in.
 The virtual-knot matrix uses the same rules with type 2 in place of even and
 type 1 in place of odd, labels being powers of s accumulated through type-0
 crossings; type-0 crossings contribute no rows.  Both matrices are filled by
-one routine, ``_fill``, from the arc tables of ``diagram.arcs`` and
+one routine, ``_fill``, from the arcs of ``diagram.arcs`` and
 ``diagram.short_arcs``; the label monomial of an incidence is the product of
 the ring's extra variables (x1..x2g, or s) raised to its label entries.  The
 presentation matrix reads its generators from the same arc walk.
@@ -91,9 +91,12 @@ class InvariantMatrix:
         """The determinant in ``ring``.
 
         Every entry enters the ring through ``from_raw``; the empty cells
-        share one mapped zero.
+        share one mapped zero.  The presentation matrix has no ring and
+        raises ValueError.
         """
         ring = self.ring
+        if ring is None:
+            raise ValueError(f"the {self.tag} presentation matrix has no determinant")
         zero = ring.from_raw(LaurentPoly.zero(ring.full_vars))
         rows = [[zero if e.is_zero else ring.from_raw(e) for e in row] for row in self.entries]
         return rings.det(rows, ring)
@@ -124,7 +127,7 @@ def _fill(ring, table, keys, coef):
     zero = LaurentPoly.zero(vars)
     grid = [[zero] * len(keys) for _ in keys]
     monomials = {}
-    for arc in table.arcs:
+    for arc in table:
         j = idx[arc.origin_kind, arc.origin]
         for inc in arc.incidences:
             i = idx[inc.site_kind, inc.site]
@@ -220,11 +223,11 @@ def build_N_presentation(d, types):
         return (STOP if types[tok.crossing] == 0 else OVER), tok.crossing, "o"
 
     table = walk(d.tokens, 0, action)
-    gens = tuple((a.origin_kind, a.origin) for a in table.arcs)
+    gens = tuple((a.origin_kind, a.origin) for a in table)
     gidx = {k: i for i, k in enumerate(gens)}
     ends = {}        # terminal passage key -> generator of the arc ending there
     overs = {}       # type-1/2 crossing -> generator passing over it
-    for gen, arc in zip(gens, table.arcs):
+    for gen, arc in zip(gens, table):
         for inc in arc.incidences[1:]:
             if inc.role == "over":
                 overs[inc.site] = gen

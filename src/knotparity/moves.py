@@ -51,7 +51,7 @@ nonempty on both sides, and there the suites find no counterexamples.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .diagram import MAX_GENUS, MAX_TOKENS, Diagram, Passage, SideToken, Vertex
 from .invariant import compare, nprime_invariant, s_invariant, EQUIVALENT
@@ -76,11 +76,15 @@ _R3_CASES = {(2, 2, 2), (0, 0, 1), (0, 0, 2), (1, 1, 2)}
 # Insertion gaps (R1+, Subdivide) and R2+ sites sampled per diagram.
 INSERTION_SAMPLES = 2
 
+# Side tokens a random diagram carries on each side, at most.
+MAX_SIDE_TOKENS = 2
+
 # The most crossings a verify trial may draw.  Its random code has 2n
-# passages and at most 2 side tokens on each of 2g <= 2 * MAX_GENUS sides,
-# and a one-move neighbour adds at most 4 tokens (R2+, SidePass), so every
-# diagram a trial builds stays within diagram.MAX_TOKENS.
-MAX_CROSSINGS = (MAX_TOKENS - 2 * 2 * MAX_GENUS - 4) // 2
+# passages and at most MAX_SIDE_TOKENS side tokens on each of
+# 2g <= 2 * MAX_GENUS sides, and a one-move neighbour adds at most 4 tokens
+# (R2+, SidePass), so every diagram a trial builds stays within
+# diagram.MAX_TOKENS.
+MAX_CROSSINGS = (MAX_TOKENS - 2 * MAX_SIDE_TOKENS * MAX_GENUS - 4) // 2
 
 
 def _passage_index(tokens):
@@ -146,12 +150,12 @@ def _r3_sites(toks, pos, i):
 _SITES = {"R1-": _r1_sites, "R2-": _r2_sites, "R3": _r3_sites}
 
 
-def applicable(d, rng=None):
+def applicable(d, rng):
     """Move instances applicable to a diagram.
 
     Removal-type sites (R1-, R2-, R3, SidePass) are enumerated exhaustively;
-    insertion sites (R1+, R2+, Subdivide) exist everywhere and are sampled,
-    deterministically unless an rng is supplied.
+    insertion sites (R1+, R2+, Subdivide) exist everywhere, and
+    ``INSERTION_SAMPLES`` of each kind are drawn from ``rng``.
     """
     out = []
     toks = d.tokens
@@ -180,28 +184,17 @@ def applicable(d, rng=None):
                 out.append(MoveInstance("SidePass", key))
 
     gaps = list(range(n + 1)) if n else [0]
-    if rng is None:
-        chosen = [gaps[0], gaps[len(gaps) // 2]][: min(INSERTION_SAMPLES, len(gaps))]
-        r1_variants = [("OU", 1), ("UO", -1)]
-        r2_specs = [(gaps[0], gaps[len(gaps) // 2], True, True, 1)]
-    else:
-        chosen = [rng.choice(gaps) for _ in range(INSERTION_SAMPLES)]
-        r1_variants = [
-            (rng.choice(("OU", "UO")), rng.choice((1, -1))) for _ in chosen
-        ]
-        r2_specs = [
-            (
-                rng.choice(gaps),
-                rng.choice(gaps),
-                rng.random() < 0.5,
-                rng.random() < 0.5,
-                rng.choice((1, -1)),
-            )
-            for _ in range(INSERTION_SAMPLES)
-        ]
-    for gap, (order, sign) in zip(chosen, r1_variants * len(chosen)):
-        out.append(MoveInstance("R1+", (gap, order, sign)))
-    for spec in r2_specs:
+    chosen = [rng.choice(gaps) for _ in range(INSERTION_SAMPLES)]
+    for gap in chosen:
+        out.append(MoveInstance("R1+", (gap, rng.choice(("OU", "UO")), rng.choice((1, -1)))))
+    for _ in range(INSERTION_SAMPLES):
+        spec = (
+            rng.choice(gaps),
+            rng.choice(gaps),
+            rng.random() < 0.5,
+            rng.random() < 0.5,
+            rng.choice((1, -1)),
+        )
         out.append(MoveInstance("R2+", spec))
     if d.crossings:
         for gap in chosen:
@@ -331,10 +324,10 @@ def apply(d, move):
 # Random diagrams
 
 
-def random_diagram(rng, crossings, genus=0, max_side_tokens=2, name="rnd"):
+def random_diagram(rng, crossings, genus=0, name="rnd"):
     """Uniform random pairing with random over/under split and signs.
 
-    Side tokens (up to ``max_side_tokens`` per side, random copy) are spliced
+    Side tokens (up to ``MAX_SIDE_TOKENS`` per side, random copy) are spliced
     into random gaps.  Every code is a legal virtual/surface diagram, so no
     rejection is needed.
     """
@@ -348,7 +341,7 @@ def random_diagram(rng, crossings, genus=0, max_side_tokens=2, name="rnd"):
         toks[i] = Passage(cid, True, sign)
         toks[j] = Passage(cid, False, sign)
     for m in range(1, 2 * genus + 1):
-        for _ in range(rng.randint(0, max_side_tokens)):
+        for _ in range(rng.randint(0, MAX_SIDE_TOKENS)):
             gap = rng.randint(0, len(toks))
             toks[gap:gap] = [SideToken(m, rng.choice((1, -1)))]
     return Diagram(name, genus, tuple(toks))
@@ -419,9 +412,9 @@ class VerifyReport:
     max_crossings: int
     genus: int
     moves_checked: int = 0
+    by_kind: dict = field(default_factory=dict)
     compares: int = 0
     skipped_boundary: int = 0
-    by_kind: dict = field(default_factory=dict)
     counterexamples: list = field(default_factory=list)
 
     @property
@@ -449,15 +442,8 @@ class VerifyReport:
 
     def to_json(self):
         return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "invariant": self.invariant,
-            "max_crossings": self.max_crossings,
-            "genus": self.genus,
-            "moves_checked": self.moves_checked,
+            **asdict(self),
             "by_kind": dict(sorted(self.by_kind.items())),
-            "compares": self.compares,
-            "skipped_boundary": self.skipped_boundary,
             "counterexamples": [
                 {"trial": t, "diagram": c, "move": m, "what": w, "detail": d}
                 for t, c, m, w, d in self.counterexamples
@@ -480,9 +466,12 @@ def verify_invariance(seed, trials, max_crossings, genus=0, invariant="s"):
 
     ``invariant`` is "s" (surface diagrams, all move kinds) or "nprime"
     (Gauss codes, classical move kinds only).  Failures are report entries,
-    never exceptions; ``trials`` below 1, ``max_crossings`` outside
-    1..MAX_CROSSINGS or ``genus`` outside 0..MAX_GENUS raises ValueError.
+    never exceptions; an unknown ``invariant``, ``trials`` below 1,
+    ``max_crossings`` outside 1..MAX_CROSSINGS or ``genus`` outside
+    0..MAX_GENUS raises ValueError.
     """
+    if invariant not in ("s", "nprime"):
+        raise ValueError(f"invariant {invariant!r} is not 's' or 'nprime'")
     if not (type(trials) is int and trials >= 1):
         raise ValueError(f"trials {trials!r} is not an integer of at least 1")
     if not (type(max_crossings) is int and 1 <= max_crossings <= MAX_CROSSINGS):
@@ -497,7 +486,7 @@ def verify_invariance(seed, trials, max_crossings, genus=0, invariant="s"):
         n = rng.randint(1, max_crossings)
         g = rng.randint(0, genus) if invariant == "s" else 0
         d = random_diagram(rng, n, g, name=f"t{trial}")
-        moves = applicable(d, rng=rng)
+        moves = applicable(d, rng)
         if invariant == "nprime":
             moves = [m for m in moves if m.kind not in ("SidePass", "Subdivide")]
         value = None

@@ -39,9 +39,6 @@ class ChordData:
     links: dict           # crossing -> bit set of the interleaving chords
     counts: dict          # crossing -> number of interleaving chords
 
-    def interleave(self, c1, c2):
-        return bool(self.links[c1] & self.bits[c2])
-
 
 def chord_data(d):
     """Interlacement data of a diagram (side tokens and vertices ignored)."""

@@ -366,10 +366,6 @@ class LaurentPoly:
             self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
         )
 
-    def leading_coeff(self):
-        st = self.sorted_terms()
-        return st[0][1] if st else 0
-
     def render(self):
         if not self._terms:
             return "0"

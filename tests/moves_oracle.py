@@ -27,12 +27,12 @@ def _adjacent_passage_pairs(d):
     return out
 
 
-def applicable(d, rng=None):
+def applicable(d, rng):
     """Move instances applicable to a diagram.
 
     Removal-type sites (R1-, R2-, R3, SidePass) are enumerated exhaustively;
-    insertion sites (R1+, R2+, Subdivide) exist everywhere and are sampled,
-    deterministically unless an rng is supplied.
+    insertion sites (R1+, R2+, Subdivide) exist everywhere, and
+    ``INSERTION_SAMPLES`` of each kind are drawn from ``rng``.
     """
     out = []
     n = len(d.tokens)
@@ -72,25 +72,20 @@ def applicable(d, rng=None):
                 out.append(MoveInstance("SidePass", key))
 
     gaps = list(range(n + 1)) if n else [0]
-    if rng is None:
-        chosen = [gaps[0], gaps[len(gaps) // 2]][: min(INSERTION_SAMPLES, len(gaps))]
-        r1_variants = [("OU", 1), ("UO", -1)]
-        r2_specs = [(gaps[0], gaps[len(gaps) // 2], True, True, 1)]
-    else:
-        chosen = [rng.choice(gaps) for _ in range(INSERTION_SAMPLES)]
-        r1_variants = [
-            (rng.choice(("OU", "UO")), rng.choice((1, -1))) for _ in chosen
-        ]
-        r2_specs = [
-            (
-                rng.choice(gaps),
-                rng.choice(gaps),
-                rng.random() < 0.5,
-                rng.random() < 0.5,
-                rng.choice((1, -1)),
-            )
-            for _ in range(INSERTION_SAMPLES)
-        ]
+    chosen = [rng.choice(gaps) for _ in range(INSERTION_SAMPLES)]
+    r1_variants = [
+        (rng.choice(("OU", "UO")), rng.choice((1, -1))) for _ in chosen
+    ]
+    r2_specs = [
+        (
+            rng.choice(gaps),
+            rng.choice(gaps),
+            rng.random() < 0.5,
+            rng.random() < 0.5,
+            rng.choice((1, -1)),
+        )
+        for _ in range(INSERTION_SAMPLES)
+    ]
     for gap, (order, sign) in zip(chosen, r1_variants * len(chosen)):
         out.append(MoveInstance("R1+", (gap, order, sign)))
     for spec in r2_specs:

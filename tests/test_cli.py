@@ -89,6 +89,16 @@ def test_verify_report_file(tmp_path, capsys):
     assert data[0]["seed"] == 1
 
 
+def test_verify_report_to_unwritable_path_exits_1(tmp_path, capsys):
+    report = tmp_path / "missing" / "r.json"
+    assert run(["verify", "--trials", "1", "--max-crossings", "3", "--seed", "1",
+                "--invariant", "s", "--report", str(report)]) == 1
+    out = capsys.readouterr()
+    assert "zero counterexamples" in out.out
+    assert out.err.startswith("error: ") and str(report) in out.err
+    assert not report.exists()
+
+
 def test_lenient_census(tmp_path, capsys):
     bad = tmp_path / "bad.gauss"
     bad.write_text("ok: O1+ U1+\nbroken: O1+ O1+\n")

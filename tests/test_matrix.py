@@ -96,7 +96,7 @@ def test_every_row_has_one_origin_contribution():
         d = random_diagram(rng, rng.randint(1, 6), rng.randint(0, 2))
         table = arcs(d)
         outs = {}
-        for arc in table.arcs:
+        for arc in table:
             for inc in arc.incidences:
                 if inc.role == "out":
                     outs.setdefault(inc.site, []).append(inc)
@@ -271,6 +271,12 @@ def test_presentation_counts():
     assert pres.shape == (4, 4)
     d = parse_gauss("e:")
     assert build_N_presentation(d, {}).shape == (0, 0)
+
+
+def test_presentation_has_no_determinant():
+    d = parse_gauss("v: O1+ O2+ U1+ U2+")
+    with pytest.raises(ValueError, match="no determinant"):
+        build_N_presentation(d, hierarchy_types(d)).det()
 
 
 def test_presentation_specializes_to_s_twist():

@@ -34,7 +34,7 @@ def kinds(moves):
 
 def test_kink_has_r1_minus():
     d = parse_gauss("kink: O1+ U1+")
-    moves = applicable(d)
+    moves = applicable(d, random.Random(0))
     assert any(m.kind == "R1-" for m in moves)
     r1 = next(m for m in moves if m.kind == "R1-")
     assert apply(d, r1).tokens == ()
@@ -43,18 +43,18 @@ def test_kink_has_r1_minus():
 def test_r2_pattern_detected():
     # the two crossings of a removable bigon carry opposite signs
     d = parse_gauss("pair: O1+ U2- U1+ O2-")
-    moves = applicable(d)
+    moves = applicable(d, random.Random(0))
     assert any(m.kind == "R2-" for m in moves)
     r2 = next(m for m in moves if m.kind == "R2-")
     assert apply(d, r2).tokens == ()
     # with equal signs the pattern is not a Reidemeister bigon
     same = parse_gauss("pair: O1+ U2+ U1+ O2+")
-    assert not any(m.kind == "R2-" for m in applicable(same))
+    assert not any(m.kind == "R2-" for m in applicable(same, random.Random(0)))
 
 
 def test_empty_diagram_offers_insertions_only():
     d = parse_gauss("u:")
-    moves = applicable(d)
+    moves = applicable(d, random.Random(0))
     assert kinds(moves) <= {"R1+", "R2+"}
     assert "R1+" in kinds(moves) and "R2+" in kinds(moves)
 
@@ -68,7 +68,9 @@ def test_r1_round_trip():
         sign = rng.choice((1, -1))
         d2 = apply(d, MoveInstance("R1+", (gap, order, sign)))
         assert len(d2.tokens) == len(d.tokens) + 2
-        back = [m for m in applicable(d2) if m.kind == "R1-" and m.data[0] in (gap, gap + 1)]
+        back = [
+            m for m in applicable(d2, random.Random(0)) if m.kind == "R1-" and m.data[0] in (gap, gap + 1)
+        ]
         undone = apply(d2, back[0])
         assert parse_line(undone.serialize()) == parse_line(d.serialize())
 
@@ -77,7 +79,7 @@ def test_r2_round_trip():
     d = parse_gauss("t: O1- U2- O3- U1- O2- U3-")
     d2 = apply(d, MoveInstance("R2+", (1, 4, True, True, 1)))
     assert len(d2.tokens) == len(d.tokens) + 4
-    r2s = [m for m in applicable(d2) if m.kind == "R2-"]
+    r2s = [m for m in applicable(d2, random.Random(0)) if m.kind == "R2-"]
     assert r2s
     undone = apply(d2, r2s[0])
     assert parse_line(undone.serialize()) == parse_line(d.serialize())
@@ -86,19 +88,19 @@ def test_r2_round_trip():
 def test_r3_swap_on_braid_pattern():
     # triangle site: (O1 O2)(U1 O3)(U2 U3), all positive
     d = parse_gauss("b: O1+ O2+ U1+ O3+ U2+ U3+")
-    moves = [m for m in applicable(d) if m.kind == "R3"]
+    moves = [m for m in applicable(d, random.Random(0)) if m.kind == "R3"]
     assert len(moves) == 1
     d2 = apply(d, moves[0])
     assert d2.serialize() == "b: O2+ O1+ O3+ U1+ U3+ U2+"
     # applying the move at the swapped site returns the original code
-    back = [m for m in applicable(d2) if m.kind == "R3"]
+    back = [m for m in applicable(d2, random.Random(0)) if m.kind == "R3"]
     assert back
     assert apply(d2, back[0]).serialize() == d.serialize()
 
 
 def test_sidepass_detection_and_conservation():
     d = parse_surface("genus 1; k: U1+ x1- U2- O3- x1+ O1+ O2- U3- U4+ x1- O4+")
-    moves = [m for m in applicable(d) if m.kind == "SidePass"]
+    moves = [m for m in applicable(d, random.Random(0)) if m.kind == "SidePass"]
     assert moves
     v = s_invariant(d)
     for mv in moves:
@@ -109,7 +111,7 @@ def test_sidepass_detection_and_conservation():
 
 def test_sidepass_round_trip_up_to_cancellation():
     d = parse_surface("genus 1; k: U1+ x1- U2- O3- x1+ O1+ O2- U3- U4+ x1- O4+")
-    mv = next(m for m in applicable(d) if m.kind == "SidePass")
+    mv = next(m for m in applicable(d, random.Random(0)) if m.kind == "SidePass")
     c, m, delta = mv.data
     d2 = apply(d, mv)
     d3 = apply(d2, MoveInstance("SidePass", (c, m, -delta)))
@@ -212,7 +214,7 @@ def test_apply_rejects_every_unlisted_removal_site():
     for _ in range(300):
         d = random_diagram(rng, rng.randint(3, 6), rng.randint(0, 1))
         n = len(d.tokens)
-        listed = set(applicable(d))
+        listed = set(applicable(d, random.Random(0)))
         pairs = [(i, (i + 1) % n) for i in rng.sample(range(n), 3)]
         for mv in (
             MoveInstance("R1-", pairs[0]),
@@ -268,9 +270,8 @@ def test_sites_and_moves_match_the_pairwise_oracle():
             d = _plant_r2(rng, d)
         for _ in range(rng.randint(0, 2)):
             d = _plant_r3(rng, d)
-        moves = applicable(d)
-        assert moves == oracle.applicable(d)
-        assert applicable(d, random.Random(seed)) == oracle.applicable(d, random.Random(seed))
+        moves = applicable(d, random.Random(seed))
+        assert moves == oracle.applicable(d, random.Random(seed))
         for mv in moves:
             counts[mv.kind] = counts.get(mv.kind, 0) + 1
             assert apply(d, mv) == oracle.apply(d, mv), mv
@@ -300,7 +301,7 @@ def test_apply_preserves_validity_and_ids():
     rng = random.Random(4)
     for _ in range(30):
         d = random_diagram(rng, rng.randint(1, 6), rng.randint(0, 2))
-        for mv in applicable(d, rng=rng):
+        for mv in applicable(d, rng):
             d2 = apply(d, mv)  # Diagram construction re-validates
             if mv.kind in ("R3", "SidePass", "Subdivide"):
                 assert set(d2.crossings) == set(d.crossings)
@@ -320,6 +321,23 @@ def test_verify_deterministic_and_clean():
     assert "zero counterexamples" in rep3.render()
 
 
+def test_verify_report_json_key_order():
+    rep = moves.VerifyReport(3, 2, "s", 4, 1)
+    rep.by_kind.update({"R2+": 1, "R1-": 2})
+    rep.counterexamples.append((1, "k: O1+ U1+", "R1-(0, 1)", "axiom", "detail"))
+    data = rep.to_json()
+    assert list(data) == [
+        "seed", "trials", "invariant", "max_crossings", "genus", "moves_checked",
+        "by_kind", "compares", "skipped_boundary", "counterexamples", "ok",
+    ]
+    assert list(data["by_kind"]) == ["R1-", "R2+"]
+    assert data["counterexamples"] == [
+        {"trial": 1, "diagram": "k: O1+ U1+", "move": "R1-(0, 1)", "what": "axiom", "detail": "detail"}
+    ]
+    assert list(data["counterexamples"][0]) == ["trial", "diagram", "move", "what", "detail"]
+    assert data["ok"] is False
+
+
 def test_verify_rejects_out_of_range_arguments(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a diagram")
@@ -334,6 +352,7 @@ def test_verify_rejects_out_of_range_arguments(monkeypatch):
         {"max_crossings": 5, "genus": MAX_GENUS + 1},
         {"max_crossings": 5, "genus": 1.0},
         {"max_crossings": 5, "genus": -1, "invariant": "nprime"},
+        {"max_crossings": 5, "invariant": "bogus"},
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):

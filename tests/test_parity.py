@@ -80,7 +80,7 @@ def _assert_matches_pairwise_oracle(d):
     inter, counts, types = pairwise_oracle(d)
     cd = chord_data(d)
     assert cd.counts == counts
-    assert {(c, o): cd.interleave(c, o) for c, o in inter} == inter
+    assert {(c, o): bool(cd.links[c] & cd.bits[o]) for c, o in inter} == inter
     assert parity_map(d) == {c: ODD if n % 2 else EVEN for c, n in counts.items()}
     assert hierarchy_types(d) == types
     # bit i stands for the i-th crossing in order of first appearance, so no
@@ -113,7 +113,7 @@ def test_virtual_trefoil_counts():
     d = parse_gauss("vtrefoil: O1+ O2+ U1+ U2+")
     cd = chord_data(d)
     assert cd.counts == {1: 1, 2: 1}
-    assert cd.interleave(1, 2) and cd.interleave(2, 1)
+    assert cd.links[1] & cd.bits[2] and cd.links[2] & cd.bits[1]
     assert gaussian_parity(cd) == {1: ODD, 2: ODD}
 
 
