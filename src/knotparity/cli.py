@@ -5,8 +5,9 @@ deterministic for fixed inputs (the monomial order is fixed), randomized
 behavior is seeded via --seed only, and census files are processed line by
 line in input order.
 
-Exit codes: 0 success, 1 usage or input error, 2 verification counterexample
-or a Distinct verdict under --expect-equivalent.
+Exit codes: 0 success, 1 usage or input error (a closed stdout included),
+2 verification counterexample or a Distinct verdict under
+--expect-equivalent.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 from .diagram import MAX_GENUS, DiagramError, parse_file
@@ -133,12 +135,17 @@ def cmd_dump_matrix(args):
 
 def cmd_compare(args):
     diagrams = _load(args.file, args.lenient)
-    byname = {d.name: d for d in diagrams}
-    try:
-        d1, d2 = byname[args.name1], byname[args.name2]
-    except KeyError as exc:
-        print(f"error: no diagram named {exc}", file=sys.stderr)
-        return 1
+    picked = []
+    for name in (args.name1, args.name2):
+        found = [d for d in diagrams if d.name == name]
+        if not found:
+            print(f"error: no diagram named {name!r}", file=sys.stderr)
+            return 1
+        if len(found) > 1:
+            print(f"error: diagram name {name!r} is ambiguous", file=sys.stderr)
+            return 1
+        picked.append(found[0])
+    d1, d2 = picked
     inv = s_invariant if args.type == "s" else nprime_invariant
     res = compare(inv(d1), inv(d2))
     if args.json:
@@ -268,7 +275,15 @@ def run(argv=None):
 
 
 def main():
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull
+        # so that the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -59,6 +59,11 @@ class InvariantValue:
     def _normal(self):
         return normalize(self.det)
 
+    @cached_property
+    def _shift(self):
+        """``_shifted`` of the determinant, which ``compare`` reads on every call."""
+        return _shifted(self.det)
+
     @property
     def element(self):
         """Canonical orbit representative of the determinant."""
@@ -141,23 +146,24 @@ def compare(first, second):
     """Decide equivalence up to +- t^a p^b q^c with c in {0, 1}.
 
     Accepts InvariantValue or bare elements over the same ring, and decides
-    on the shifted determinants without normalizing them.  Zero is
-    equivalent only to zero.  The q-power is searched in {0, 1} only: as a
-    multiplier, q^2 rewrites to the q-free (1-t)(1-p) and stops acting as a
-    monomial unit.
+    on the shifted determinants without normalizing them; a value's shift
+    is computed once and kept on it.  Zero is equivalent only to zero.  The
+    q-power is searched in {0, 1} only: as a multiplier, q^2 rewrites to the
+    q-free (1-t)(1-p) and stops acting as a monomial unit.
     """
     a, b = (x.det if isinstance(x, InvariantValue) else x for x in (first, second))
     if a.ring != b.ring:
         raise rings.RingMismatch(f"{a.ring} vs {b.ring}")
     if a.is_zero != b.is_zero:
         return ComparisonResult(DISTINCT)
-    for q_power, src, dst, expressed in (
-        (0, a, b, "second_from_first"),
-        (1, a, b, "second_from_first"),
-        (1, b, a, "first_from_second"),
+    shift_a, shift_b = (x._shift if isinstance(x, InvariantValue) else _shifted(x) for x in (first, second))
+    for q_power, src, dst, shift_dst, expressed in (
+        (0, a, b, shift_b, "second_from_first"),
+        (1, a, b, shift_b, "second_from_first"),
+        (1, b, a, shift_a, "first_from_second"),
     ):
-        moved = src.times_q() if q_power else src
-        (ws, a_src, b_src), (wd, a_dst, b_dst) = _shifted(moved), _shifted(dst)
+        ws, a_src, b_src = _shifted(src.times_q()) if q_power else shift_a
+        wd, a_dst, b_dst = shift_dst
         sign = 1 if ws == wd else -1 if ws == -wd else 0
         if sign:
             unit = UnitRecord(sign, a_src - a_dst, b_src - b_dst, q_power)

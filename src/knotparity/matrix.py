@@ -26,8 +26,9 @@ presentation matrix reads its generators from the same arc walk.
 All three matrices hold one entry type: plain ``LaurentPoly`` values over
 the free ring, ``ring.full_vars`` for the two determinant matrices and
 ``RAW_VARS`` for the presentation.  The relations of a quotient ring matter
-only to a determinant, so ``InvariantMatrix.det`` maps the entries into it
-with ``QuotientRing.from_raw`` there and nowhere else.  Each entry of the
+only to a determinant, so ``InvariantMatrix.det`` hands the entries to
+``rings.det`` as built, which maps into the quotient ring only what its
+unit steps over the free ring leave.  Each entry of the
 two determinant matrices is a sum of role coefficients times label
 monomials, so it has p-degree and q-degree at most 1 and a p-free q-part:
 it is already the canonical pair of its image and renders as built.
@@ -88,18 +89,13 @@ class InvariantMatrix:
         return out
 
     def det(self):
-        """The determinant in ``ring``.
+        """The determinant in ``ring``, of the entries as built over the free ring.
 
-        Every entry enters the ring through ``from_raw``; the empty cells
-        share one mapped zero.  The presentation matrix has no ring and
-        raises ValueError.
+        The presentation matrix has no ring and raises ValueError.
         """
-        ring = self.ring
-        if ring is None:
+        if self.ring is None:
             raise ValueError(f"the {self.tag} presentation matrix has no determinant")
-        zero = ring.from_raw(LaurentPoly.zero(ring.full_vars))
-        rows = [[zero if e.is_zero else ring.from_raw(e) for e in row] for row in self.entries]
-        return rings.det(rows, ring)
+        return rings.det(self.entries, self.ring)
 
 
 def _role_table(vars):

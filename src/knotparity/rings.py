@@ -48,14 +48,19 @@ Q*m + R with deg_p(R) <= 1, and the class of A modulo (1-t)*m is the pair
 B, R = r0 + r1*p and Q at t=1 come back from the images by exact division by
 2*(t-1) and by (p-1)^2 (see ``QElement.canonical_pair``).
 
-The quotient rings have zero divisors, but each image lies in a Laurent ring
-over Z, which is an integral domain.  So a determinant is computed image by
-image (see ``det`` and ``_bareiss_det``), by one elimination loop: plain
-Gaussian steps on pivots that are units of the Laurent ring (signed
-monomials such as -1, t or -p*x1^-2, which every crossing row of the
-invariant matrices holds), which need no division at all, then
+The quotient rings have zero divisors, but the free Laurent ring and each
+image lie over Z, and are integral domains.  A determinant (see ``det``)
+starts over the free ring on ``full_vars`` with plain Gaussian steps on
+pivots that are signed monomials free of q, such as -1, t or -p*x1^-2
+(every crossing row of the invariant matrices holds one).  Those are units
+of the free ring and of all four images, and the steps need no division at
+all, so they run once for the four images.  Only their product and the
+Schur complement they leave go through ``from_raw``.  Each image of that
+complement is then finished by ``_bareiss_det``: Gaussian steps on the
+units of that image (``_unit_steps``, the one unit-step loop), then
 fraction-free Bareiss steps on the rows and columns left, whose every
-division is exact.
+division is exact.  q itself is never a pivot: it has no inverse in the
+quotient.
 
 Packed exponents (after Monagan and Pearce, "Parallel sparse polynomial
 multiplication using heaps", 2009).  A ``LaurentPoly`` over n variables keys
@@ -77,15 +82,21 @@ reaches the limit has its exponents read off exactly, and raises
 
 The parser's ceiling of T = 20 000 tokens per diagram
 (``diagram.MAX_TOKENS``) keeps every exponent met in computing the
-invariants below the limit.  A matrix then has N <= T rows and entries with
-exponents at most E = max(2, S) in absolute value, S <= T counting the side
-tokens (the type-0 crossings for the virtual matrix), so every k-minor has
-exponents at most k*E <= N*E.  An entry left by the unit steps, and every
-minor of the rest that Bareiss forms, is a minor of the matrix divided by a
-monomial minor (the product of the unit pivots so far): at most 2*N*E.  A
-product formed before a division multiplies two of them, so every
-intermediate stays within 4*N*E <= 4*T^2 = 1.6e9 < 2^32 = EXPONENT_LIMIT,
-which FIELD_BITS = 34 gives.  Keys are unpacked only off the hot paths: in
+invariants below the limit.  A matrix then has N <= T rows, and its entries
+are sums of role coefficients (-1, t, 1-t, p, q) times label monomials, so
+every term has total degree 0 or 1 in t, p and q and exponents at most
+E = max(2, S) in absolute value, S <= T counting the side tokens (the
+type-0 crossings for the virtual matrix).  Every k-minor over the free ring
+then has exponents at most k*E <= N*E, and so does its image under each of
+psi1..psi4, since a term t^a*p^b*q^k with a + b + k <= N maps to powers of
+t and p no higher.  An entry left by the free-ring unit steps is a minor
+of the matrix divided by a monomial minor (the product of the unit pivots
+so far), and so is every entry left by the unit steps on an image of the
+Schur complement, and every minor of the rest that Bareiss forms: at most
+2*N*E in the free ring and in every image.  A product formed before a
+division multiplies two of them, so every intermediate stays within
+4*N*E <= 4*T^2 = 1.6e9 < 2^32 = EXPONENT_LIMIT, which FIELD_BITS = 34
+gives; ``ExponentOverflow`` stays the guard at run time.  Keys are unpacked only off the hot paths: in
 the tuple-keyed ``terms`` view (which rendering and ``to_full_poly`` read),
 in ``exponent_range`` and ``subs_one``, and once per divisor in
 ``exact_div``; ``from_raw`` reads each exponent it needs off its field.
@@ -569,12 +580,13 @@ class QElement:
     __hash__ = None
 
     def times_unit(self, sign, t_exp, p_exp):
-        """Multiply by sign * t^t_exp * p^p_exp."""
-        vars = self.ring.vars
-        t_ab = LaurentPoly.monomial(vars, sign, t=t_exp + p_exp)
+        """Multiply by sign * t^t_exp * p^p_exp, whose images are
+        sign * t^t_exp, sign * p^p_exp and twice sign * t^(t_exp + p_exp)."""
+        vars, zeros = self.ring.vars, (0,) * len(self.ring.extras)
+        t_ab = _poly(vars, {_pack((t_exp + p_exp, 0) + zeros): sign}, abs(t_exp + p_exp))
         units = (
-            LaurentPoly.monomial(vars, sign, t=t_exp),
-            LaurentPoly.monomial(vars, sign, p=p_exp),
+            _poly(vars, {_pack((t_exp, 0) + zeros): sign}, abs(t_exp)),
+            _poly(vars, {_pack((0, p_exp) + zeros): sign}, abs(p_exp)),
             t_ab,
             t_ab,
         )
@@ -654,59 +666,92 @@ RAW_VARS = ("t", "p", "q", "s", "r", "w")
 
 
 def det(rows, ring):
-    """Determinant of a square matrix of ``QElement`` over ``ring``.
+    """Determinant of a square matrix over ``ring``.
 
-    The four ring maps are homomorphisms, so the determinant's images are
-    the determinants of the four image matrices; each is computed over its
-    Laurent ring by Gaussian steps on unit pivots, then fraction-free
-    Bareiss steps on the rest, in one loop (``_bareiss_det``).
-    The 0x0 determinant is the ring one.
+    ``rows`` is dense; an entry is a ``LaurentPoly`` over ``ring.full_vars``
+    or a ``QElement`` of ``ring``, which enters through ``to_full_poly``.
+    Each row is scanned once for its nonzero cells.
+
+    A signed monomial free of q is a unit of the free Laurent ring and of
+    every image, so ``_unit_steps`` first eliminates such pivots over the
+    free ring, once for all four images.  With u the product of those
+    pivots and S the Schur complement they leave, det M = +-u * det S; only
+    u and the entries of S go through ``from_raw``, and ``_bareiss_det``
+    finishes each image of S.  q is never taken as a pivot: it has no
+    inverse in the quotient.  A row the free-ring steps empty makes the
+    determinant zero in all four images.  The 0x0 determinant is the ring
+    one.
     """
     n = len(rows)
+    full = ring.full_vars
+    sparse = []
     for row in rows:
         if len(row) != n:
             raise NonSquare(f"{len(row)} entries in a row of a {n}-row matrix")
+        cells = {}
+        for j, e in enumerate(row):
+            if isinstance(e, QElement):
+                if e.ring != ring:
+                    raise VariableSetMismatch(f"{e.ring} vs {ring}")
+                e = e.to_full_poly()
+            if e._terms:
+                if e.vars != full:
+                    raise VariableSetMismatch(f"{e.vars} vs {full}")
+                cells[j] = e
+        sparse.append(cells)
+    q_shift = FIELD_BITS * len(ring.extras)
+    top = _layout(len(full))[2]
+
+    def is_unit(e):
+        """A unit of the free ring whose q exponent is 0: a unit in every image."""
+        return _is_unit(e) and ((next(iter(e._terms)) + top) >> q_shift) & _MASK == _HALF
+
+    steps = _unit_steps(sparse, full, is_unit)
+    if steps is None:
+        return ring.zero()
+    sign, unit, live_rows, live_cols = steps
+    unit = ring.from_raw(unit if sign > 0 else -unit)
+    place = {j: k for k, j in enumerate(live_cols)}
+    rest = [[(place[j], ring.from_raw(e).parts) for j, e in sparse[i].items()] for i in live_rows]
     return QElement(
         ring,
         tuple(
-            _bareiss_det(
-                [{j: e.parts[c] for j, e in enumerate(row) if not e.parts[c].is_zero} for row in rows],
-                ring.vars,
-            )
-            for c in range(4)
+            u * _bareiss_det([{j: parts[c] for j, parts in row if parts[c]._terms} for row in rest], ring.vars)
+            for c, u in enumerate(unit.parts)
         ),
     )
 
 
-def _bareiss_det(rows, vars):
-    """Determinant over an integral domain of Laurent polynomials.
+def _is_unit(e):
+    """Whether e is a unit of a Laurent ring over Z: one term, coefficient +-1."""
+    return len(e._terms) == 1 and abs(*e._terms.values()) == 1
+
+
+def _unit_steps(rows, vars, is_unit):
+    """Gaussian steps on unit pivots of a square sparse matrix over ``vars``.
 
     ``rows`` is a square matrix as sparse rows {column: nonzero entry}, and
-    is consumed.  One loop eliminates a pivot per step from the live rows
-    and columns, those no step has taken yet, until none is left.
-
-    While no Bareiss step has run, a step takes a unit pivot if any live row
-    holds one.  A unit of the Laurent ring is one term with coefficient +-1,
-    whose inverse is a monomial; every crossing row of the invariant
-    matrices holds one (-1 on an under-arc).  The unit of lowest Markowitz
-    (1957) cost (r - 1)*(c - 1) is taken, r the nonzero count of its row and
-    c that of its column over live rows, ties going to the lowest (row,
-    column).  The step is plain Gaussian elimination: the pivot row is
-    multiplied by the pivot's inverse, and a times it is subtracted from
-    every live row holding a in the pivot column, with no division and no
-    growth but what the products bring.  Otherwise the step takes the entry
-    with the fewest terms in the lowest live column, ties going to the
-    lowest row, and ``_bareiss_step`` eliminates it.  No unit step follows a
-    Bareiss step, so the Bareiss steps run on the Schur complement the unit
-    steps leave, and each of their divisions is exact.
+    is changed in place.  Each step takes, among the live rows and columns
+    (those no step has taken yet), an entry for which ``is_unit`` holds: a
+    unit of the Laurent ring, one term with coefficient +-1, whose inverse
+    is a monomial.  Every crossing row of the invariant matrices holds one
+    (-1 on an under-arc).  The unit of lowest Markowitz (1957) cost
+    (r - 1)*(c - 1) is taken, r the nonzero count of its row and c that of
+    its column over live rows, ties going to the lowest (row, column).  The
+    pivot row is multiplied by the pivot's inverse, and a times it is
+    subtracted from every live row holding a in the pivot column, with no
+    division and no growth but what the products bring.  The steps stop
+    when no live entry is a unit.
 
     Moving the pivot to the first live row and column is a permutation of
     sign (-1)^(r+c), r and c the pivot's places among the live rows and
-    columns; each step multiplies the sign by it.  After a unit step the
-    pivot is the only entry of its column, so the determinant is the sign
-    times the product of the unit pivots times the last Bareiss pivot, if
-    any.  A live row that empties, or a lowest live column with no entry,
-    makes it zero.
+    columns; each step multiplies the sign by it.  After a step the pivot
+    is the only entry of its column, so the determinant of the matrix is
+    sign * unit * (the determinant of the live rows and columns left).
+
+    Returns (sign, unit, live rows, live columns), unit the product of the
+    pivots and the live lists in increasing order, or None when a live row
+    empties, which makes the determinant zero.
     """
     n = len(rows)
     cols = [set() for _ in range(n)]
@@ -714,27 +759,21 @@ def _bareiss_det(rows, vars):
         for j in row:
             cols[j].add(i)
     live_rows, live_cols = list(range(n)), list(range(n))
-    units = [_unit_columns(row) for row in rows]
-    unit, prev, sign = LaurentPoly.const(vars, 1), None, 1
-    while live_rows:
+    units = [sorted([j for j, e in row.items() if is_unit(e)]) for row in rows]
+    unit, sign = LaurentPoly.const(vars, 1), 1
+    while True:
         best, best_cost = None, n * n
-        if prev is None:
-            for i in live_rows:
-                r = len(rows[i]) - 1
-                for j in units[i]:
-                    cost = r * (len(cols[j]) - 1)
-                    if cost < best_cost:
-                        best, best_cost = (i, j), cost
-                if best_cost == 0:
-                    break  # no later row beats a zero cost
+        for i in live_rows:
+            r = len(rows[i]) - 1
+            for j in units[i]:
+                cost = r * (len(cols[j]) - 1)
+                if cost < best_cost:
+                    best, best_cost = (i, j), cost
+            if best_cost == 0:
+                break  # no later row beats a zero cost
         if best is None:
-            pj = live_cols[0]
-            holders = [i for i in live_rows if pj in rows[i]]
-            if not holders:
-                return LaurentPoly.zero(vars)
-            pi = min(holders, key=lambda i: (len(rows[i][pj]._terms), i))
-        else:
-            pi, pj = best
+            return sign, unit, live_rows, live_cols
+        pi, pj = best
         if (live_rows.index(pi) + live_cols.index(pj)) % 2:
             sign = -sign
         live_rows.remove(pi)
@@ -743,10 +782,6 @@ def _bareiss_det(rows, vars):
         for j in prow:
             cols[j].discard(pi)
         pivot = prow.pop(pj)
-        if best is None:
-            _bareiss_step(rows, live_rows, prow, pj, pivot, prev)
-            prev = pivot
-            continue
         unit = unit * pivot
         ((uk, uc),) = pivot._terms.items()
         inv = _poly(vars, {-uk: uc}, pivot._bound)
@@ -767,8 +802,41 @@ def _bareiss_det(rows, vars):
                         del row[j]
                         cols[j].discard(i)
             if not row:
-                return LaurentPoly.zero(vars)
-            units[i] = _unit_columns(row)
+                return None
+            units[i] = sorted([j for j, e in row.items() if is_unit(e)])
+
+
+def _bareiss_det(rows, vars):
+    """Determinant over an integral domain of Laurent polynomials.
+
+    ``rows`` is a square matrix as sparse rows {column: nonzero entry}, and
+    is consumed.  ``_unit_steps`` first takes every unit pivot it can; then
+    each step takes the entry with the fewest terms in the lowest live
+    column, ties going to the lowest row, and ``_bareiss_step`` eliminates
+    it.  No unit step follows a Bareiss step, so the Bareiss steps run on
+    the Schur complement the unit steps leave, and each of their divisions
+    is exact.  The determinant is the sign times the product of the unit
+    pivots times the last Bareiss pivot, if any; a row the unit steps
+    empty, or a lowest live column with no entry, makes it zero.
+    """
+    steps = _unit_steps(rows, vars, _is_unit)
+    if steps is None:
+        return LaurentPoly.zero(vars)
+    sign, unit, live_rows, live_cols = steps
+    prev = None
+    while live_rows:
+        pj = live_cols.pop(0)
+        holders = [i for i in live_rows if pj in rows[i]]
+        if not holders:
+            return LaurentPoly.zero(vars)
+        pi = min(holders, key=lambda i: (len(rows[i][pj]._terms), i))
+        if live_rows.index(pi) % 2:
+            sign = -sign
+        live_rows.remove(pi)
+        prow = rows[pi]
+        pivot = prow.pop(pj)
+        _bareiss_step(rows, live_rows, prow, pj, pivot, prev)
+        prev = pivot
     value = unit if prev is None else unit * prev
     return value if sign > 0 else -value
 
@@ -790,11 +858,3 @@ def _bareiss_step(rows, live_rows, prow, k, pivot, prev):
             for j, e in prow.items():
                 new[j] = new[j] - a * e if j in new else -(a * e)
         rows[i] = {j: e if prev is None else e.exact_div(prev) for j, e in new.items() if e._terms}
-
-
-def _unit_columns(row):
-    """The columns of a sparse row whose entries are units, in increasing order."""
-    return sorted(
-        [j for j, e in row.items() if len(e._terms) == 1 and abs(*e._terms.values()) == 1]
-    )
-

@@ -9,9 +9,13 @@ compare the two.
 
 ``bareiss_loop`` is textbook Bareiss elimination on one image, with no unit
 steps: the "loop alone" oracle for ``knotparity.rings._bareiss_det``.
+
+``per_image_det`` is the determinant as the package computed it before it
+took unit steps over the free ring: each of the four image matrices of a
+matrix of ``QElement`` goes through ``_bareiss_det`` whole.
 """
 
-from knotparity.rings import LaurentPoly, NonSquare
+from knotparity.rings import LaurentPoly, NonSquare, QElement, _bareiss_det
 
 
 def _check_square(rows):
@@ -120,3 +124,28 @@ def bareiss_loop(rows, vars):
             rows[i] = {j: e if prev is None else e.exact_div(prev) for j, e in new.items() if e._terms}
         prev = pivot
     return prev if sign > 0 else -prev
+
+
+def per_image_det(rows, ring):
+    """Determinant of a square matrix of ``QElement`` over ``ring``.
+
+    The four ring maps are homomorphisms, so the determinant's images are
+    the determinants of the four image matrices; each is computed over its
+    Laurent ring by Gaussian steps on unit pivots, then fraction-free
+    Bareiss steps on the rest, in one loop (``_bareiss_det``).
+    The 0x0 determinant is the ring one.
+    """
+    n = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise NonSquare(f"{len(row)} entries in a row of a {n}-row matrix")
+    return QElement(
+        ring,
+        tuple(
+            _bareiss_det(
+                [{j: e.parts[c] for j, e in enumerate(row) if not e.parts[c].is_zero} for row in rows],
+                ring.vars,
+            )
+            for c in range(4)
+        ),
+    )

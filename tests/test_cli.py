@@ -1,11 +1,15 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from knotparity.cli import build_parser, run
 from knotparity.diagram import MAX_GENUS, MAX_TOKENS
 from knotparity.moves import MAX_CROSSINGS
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 PAIR = str(FIXTURES / "torus_pair.surf")
 GAUSS = str(FIXTURES / "sample.gauss")
 
@@ -61,6 +65,37 @@ def test_compare_distinct_and_exit_codes(capsys):
 
 def test_compare_unknown_name(capsys):
     assert run(["compare", PAIR, "1.12", "nope"]) == 1
+
+
+def test_compare_rejects_an_ambiguous_name(tmp_path, capsys):
+    census = tmp_path / "dup.gauss"
+    census.write_text("a: O1+ U1+\na: O1- U1-\nb: O1+ U1+\n")
+    for names in (["a", "a"], ["b", "a"], ["a", "b"]):
+        assert run(["compare", "--type", "nprime", str(census), *names]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: diagram name 'a' is ambiguous\n"
+    assert run(["compare", "--type", "nprime", str(census), "b", "b"]) == 0
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the read end is closed before the command starts, so its first flush
+    # of stdout meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "knotparity", "invariant", "--type", "s", PAIR],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 def test_dump_matrix(capsys):

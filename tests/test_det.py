@@ -1,10 +1,14 @@
 """Differential tests of ``rings.det`` against the Berkowitz oracle.
 
-``rings.det`` eliminates on each of the four images of a quotient-ring
-element separately; ``det_oracle.berkowitz_det`` runs the division-free
-Berkowitz recurrence on whole elements.  Both must agree on the invariant
-matrices of the fixtures and of seeded random diagrams, and on seeded random
-matrices chosen to be singular in some or all images.
+``rings.det`` takes unit steps over the free Laurent ring, then eliminates
+on each of the four images of what they leave separately;
+``det_oracle.berkowitz_det`` runs the division-free Berkowitz recurrence on
+whole elements, and ``det_oracle.per_image_det`` eliminates on the four
+images of the whole matrix, as the package did before.  All must agree on
+the invariant matrices of the fixtures and of seeded random diagrams, and
+on seeded random matrices chosen to be singular in some or all images.  q
+has no inverse in the quotient rings, so matrices whose only monomial
+entries are powers of q check that the free-ring steps never pivot on one.
 
 Each image's elimination is one loop of Gaussian steps on unit pivots,
 then Bareiss steps on what is left.  Textbook Bareiss elimination run alone
@@ -24,10 +28,10 @@ from knotparity import rings
 from knotparity.diagram import parse_file
 from knotparity.matrix import build_M, build_Npp
 from knotparity.moves import random_diagram
-from knotparity.parity import hierarchy_types, parity_map
-from knotparity.rings import _bareiss_det, det, g_ring, rprime_ring
+from knotparity.parity import ODD, hierarchy_types, parity_map
+from knotparity.rings import LaurentPoly, _bareiss_det, det, g_ring, rprime_ring
 
-from det_oracle import bareiss_loop, berkowitz_det
+from det_oracle import bareiss_loop, berkowitz_det, per_image_det
 from test_rings import rand_matrix_elem
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -47,10 +51,11 @@ def _image_rows(rows, c):
 
 
 def _checked_det(rows, ring):
-    """det(rows, ring), checked against Berkowitz and, image by image,
-    against the Bareiss loop alone."""
+    """det(rows, ring), checked against Berkowitz, against the per-image
+    determinant and, image by image, against the Bareiss loop alone."""
     value = det(rows, ring)
     assert value == berkowitz_det(rows, ring), [[e.render() for e in row] for row in rows]
+    assert value == per_image_det(rows, ring)
     if rows:
         _check_images_against_loop(rows, ring, value)
     return value
@@ -247,3 +252,50 @@ def test_det_matches_the_bareiss_loop_on_large_diagrams(bareiss_sizes):
             longest = max(longest, *map(len, bareiss_sizes(rows, ring)))
     # some image takes four Bareiss steps, three of which divide
     assert longest >= 4
+
+
+def _matches_per_image(d):
+    """Both invariants' m.det(), from the entries as built, checked against
+    ``per_image_det`` on the entries mapped into the ring."""
+    for m, rows, ring in _invariant_matrices(d):
+        assert m.det() == per_image_det(rows, ring)
+
+
+def test_free_ring_det_matches_per_image_on_census_like_diagrams():
+    rng = random.Random(1710)
+    with_odd, types_seen = 0, set()
+    for crossings in range(10, 25):
+        for genus in (0, 1, 2):
+            d = random_diagram(rng, crossings, genus)
+            with_odd += ODD in parity_map(d).values()
+            types_seen.update(hierarchy_types(d).values())
+            _matches_per_image(d)
+    assert with_odd > 0 and types_seen == {0, 1, 2}
+
+
+def test_free_ring_det_matches_per_image_on_large_diagrams():
+    # some seeds draw a genus-2 diagram whose s takes seconds under both
+    # paths; this one keeps the test near one second
+    rng = random.Random(1763)
+    for genus in (0, 1, 2, 0, 1, 2):
+        _matches_per_image(random_diagram(rng, rng.randint(25, 60), genus))
+
+
+def test_q_is_never_a_pivot():
+    # taking q as a pivot would need q^-1, which from_raw rejects
+    for ring in RINGS:
+        q, one = ring.element(q=1), ring.one()
+        assert det([[q]], ring) == per_image_det([[q]], ring) == q
+        rows = [[q, one], [one, q]]
+        assert det(rows, ring) == per_image_det(rows, ring) == q * q - one
+        full = ring.full_vars
+
+        def mono(coef=1, **exps):
+            return LaurentPoly.monomial(full, coef, **exps)
+
+        raw = [
+            [mono(q=1), mono(t=1) + mono(), mono(t=1) - mono()],
+            [mono() - mono(p=1), mono(q=2), mono(q=1) + mono()],
+            [mono(p=1) + mono(2), mono(q=1), mono(q=3)],
+        ]
+        assert det(raw, ring) == per_image_det([[ring.from_raw(e) for e in row] for row in raw], ring)

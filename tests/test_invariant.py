@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotparity import invariant
 from knotparity.cli import run
 from knotparity.diagram import parse_file, parse_gauss, parse_line, parse_surface
 from knotparity.invariant import (
@@ -229,3 +230,29 @@ def test_deciding_never_builds_the_canonical_pair(torus_pair, monkeypatch, capsy
     path = str(FIXTURES / "sample.gauss")
     assert run(["compare", path, "vtrefoil", "four1", "--type", "nprime", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == DISTINCT
+
+
+def test_verify_shifts_each_value_once(monkeypatch):
+    """``verify_invariance`` compares one before-value with every move's
+    after-value; each value's determinant is shifted at most once."""
+    values, shifted = [], []
+    make_value, shift = invariant.make_value, invariant._shifted
+
+    def spy_make_value(tag, elem):
+        values.append(make_value(tag, elem))
+        return values[-1]
+
+    def spy_shifted(elem):
+        shifted.append(elem)
+        return shift(elem)
+
+    monkeypatch.setattr(invariant, "make_value", spy_make_value)
+    monkeypatch.setattr(invariant, "_shifted", spy_shifted)
+    compares = 0
+    for kind in ("s", "nprime"):
+        rep = verify_invariance(seed=5, trials=12, max_crossings=6, genus=2, invariant=kind)
+        assert rep.ok
+        compares += rep.compares
+    # more compares than trials: some before-value met several after-values
+    assert compares > 2 * 12
+    assert max(sum(elem is value.det for elem in shifted) for value in values) == 1
