@@ -69,11 +69,12 @@ class GenusTooLarge(DiagramError):
 # have N <= T rows and entries whose exponents are at most max(2, S) in
 # absolute value, S <= T being the side-token count (or, for the virtual
 # matrix, the type-0 crossings), so a minor has exponents at most
-# N*max(2, S).  The determinant's unit steps leave minors divided by
-# monomial minors, at most 2*N*max(2, S), and a product of two of them
-# before a Bareiss division has exponents at most 4*N*max(2, S) <= 4*T^2
-# < 2^32, inside the exponent limit of the packed Laurent polynomials
-# (rings.EXPONENT_LIMIT).
+# N*max(2, S).  The determinant's unit steps over the free ring leave
+# minors divided by monomial minors, and so are the minors Bareiss forms
+# on each image of what they leave, at most 2*N*max(2, S); a product of two
+# of them before a Bareiss division has exponents at most
+# 4*N*max(2, S) <= 4*T^2 < 2^32, inside the exponent limit of the packed
+# Laurent polynomials (rings.EXPONENT_LIMIT).
 MAX_TOKENS = 20_000
 
 # The largest genus a surface diagram may declare.  The ring of ``s`` for a
@@ -245,8 +246,9 @@ def parse_surface(text):
 
 
 def parse_line(text):
-    """Parse either format (surface when the genus header is present)."""
-    if text.lstrip().startswith("genus"):
+    """Parse either format: surface when the line starts with ``genus`` and
+    whitespace (the genus header), so a Gauss code may be named ``genus1``."""
+    if re.match(r"\s*genus\s", text):
         return parse_surface(text)
     return parse_gauss(text)
 
@@ -254,21 +256,28 @@ def parse_line(text):
 def parse_file(path, lenient=False):
     """Parse a census file, one diagram per non-comment line.
 
-    With ``lenient`` malformed lines are collected instead of raised.
-    Returns (diagrams, errors) where errors is a list of (lineno, message).
+    The file is read as UTF-8, and a line that does not decode is a
+    malformed line.  With ``lenient`` malformed lines are collected instead
+    of raised.  Returns (diagrams, errors) where errors is a list of
+    (lineno, message).
     """
     diagrams, errors = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # bytes split at \n, \r and \r\n alone, as text files read by line do
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
             try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DiagramError(f"line {lineno} is not valid UTF-8 ({exc.reason})") from None
+            line = text.split("#", 1)[0].strip()
+            if line:
                 diagrams.append(parse_line(line))
-            except DiagramError as exc:
-                if not lenient:
-                    raise
-                errors.append((lineno, str(exc)))
+        except DiagramError as exc:
+            if not lenient:
+                raise
+            errors.append((lineno, str(exc)))
     return diagrams, errors
 
 

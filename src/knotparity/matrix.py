@@ -98,8 +98,12 @@ class InvariantMatrix:
         return rings.det(self.entries, self.ring)
 
 
+@functools.lru_cache(maxsize=None)
 def _role_table(vars):
-    """(even_like, sign > 0) -> {role: coefficient over ``vars``}, by the module docstring's rules."""
+    """(even_like, sign > 0) -> {role: coefficient over ``vars``}, by the module docstring's rules.
+
+    It depends on ``vars`` alone, so it is built once per variable set; the
+    callers only read it."""
     one, t = LaurentPoly.const(vars, 1), LaurentPoly.monomial(vars, t=1)
     table = {}
     for even_like, in_pos, over in (

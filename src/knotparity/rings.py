@@ -56,11 +56,9 @@ pivots that are signed monomials free of q, such as -1, t or -p*x1^-2
 of the free ring and of all four images, and the steps need no division at
 all, so they run once for the four images.  Only their product and the
 Schur complement they leave go through ``from_raw``.  Each image of that
-complement is then finished by ``_bareiss_det``: Gaussian steps on the
-units of that image (``_unit_steps``, the one unit-step loop), then
-fraction-free Bareiss steps on the rows and columns left, whose every
-division is exact.  q itself is never a pivot: it has no inverse in the
-quotient.
+complement is then finished by ``_bareiss_det``, textbook fraction-free
+Bareiss elimination, whose every division is exact.  q itself is never a
+pivot: it has no inverse in the quotient.
 
 Packed exponents (after Monagan and Pearce, "Parallel sparse polynomial
 multiplication using heaps", 2009).  A ``LaurentPoly`` over n variables keys
@@ -91,13 +89,13 @@ then has exponents at most k*E <= N*E, and so does its image under each of
 psi1..psi4, since a term t^a*p^b*q^k with a + b + k <= N maps to powers of
 t and p no higher.  An entry left by the free-ring unit steps is a minor
 of the matrix divided by a monomial minor (the product of the unit pivots
-so far), and so is every entry left by the unit steps on an image of the
-Schur complement, and every minor of the rest that Bareiss forms: at most
-2*N*E in the free ring and in every image.  A product formed before a
-division multiplies two of them, so every intermediate stays within
-4*N*E <= 4*T^2 = 1.6e9 < 2^32 = EXPONENT_LIMIT, which FIELD_BITS = 34
-gives; ``ExponentOverflow`` stays the guard at run time.  Keys are unpacked only off the hot paths: in
-the tuple-keyed ``terms`` view (which rendering and ``to_full_poly`` read),
+so far), and so is every minor of the Schur complement they leave, which
+is what Bareiss forms on each image of it: at most 2*N*E in the free ring
+and in every image.  A product formed before a division multiplies two of
+them, so every intermediate stays within 4*N*E <= 4*T^2 = 1.6e9 < 2^32 =
+EXPONENT_LIMIT, which FIELD_BITS = 34 gives; ``ExponentOverflow`` stays
+the guard at run time.  Keys are unpacked only off the hot paths: in the
+tuple-keyed ``terms`` view (which rendering and ``to_full_poly`` read),
 in ``exponent_range`` and ``subs_one``, and once per divisor in
 ``exact_div``; ``from_raw`` reads each exponent it needs off its field.
 """
@@ -699,14 +697,7 @@ def det(rows, ring):
                     raise VariableSetMismatch(f"{e.vars} vs {full}")
                 cells[j] = e
         sparse.append(cells)
-    q_shift = FIELD_BITS * len(ring.extras)
-    top = _layout(len(full))[2]
-
-    def is_unit(e):
-        """A unit of the free ring whose q exponent is 0: a unit in every image."""
-        return _is_unit(e) and ((next(iter(e._terms)) + top) >> q_shift) & _MASK == _HALF
-
-    steps = _unit_steps(sparse, full, is_unit)
+    steps = _unit_steps(sparse, full)
     if steps is None:
         return ring.zero()
     sign, unit, live_rows, live_cols = steps
@@ -722,20 +713,15 @@ def det(rows, ring):
     )
 
 
-def _is_unit(e):
-    """Whether e is a unit of a Laurent ring over Z: one term, coefficient +-1."""
-    return len(e._terms) == 1 and abs(*e._terms.values()) == 1
-
-
-def _unit_steps(rows, vars, is_unit):
+def _unit_steps(rows, vars):
     """Gaussian steps on unit pivots of a square sparse matrix over ``vars``.
 
     ``rows`` is a square matrix as sparse rows {column: nonzero entry}, and
     is changed in place.  Each step takes, among the live rows and columns
-    (those no step has taken yet), an entry for which ``is_unit`` holds: a
-    unit of the Laurent ring, one term with coefficient +-1, whose inverse
-    is a monomial.  Every crossing row of the invariant matrices holds one
-    (-1 on an under-arc).  The unit of lowest Markowitz (1957) cost
+    (those no step has taken yet), a signed monomial whose q exponent is 0:
+    a unit of the free Laurent ring and of every image, whose inverse is a
+    monomial.  Every crossing row of the invariant matrices holds one (-1
+    on an under-arc).  The unit of lowest Markowitz (1957) cost
     (r - 1)*(c - 1) is taken, r the nonzero count of its row and c that of
     its column over live rows, ties going to the lowest (row, column).  The
     pivot row is multiplied by the pivot's inverse, and a times it is
@@ -754,12 +740,25 @@ def _unit_steps(rows, vars, is_unit):
     empties, which makes the determinant zero.
     """
     n = len(rows)
+    shifts, _, top = _layout(len(vars))
+    q_shift = shifts[vars.index("q")]
+
+    def unit_columns(row):
+        """The columns of the row's signed monomials free of q, in increasing order."""
+        units = []
+        for j, e in row.items():
+            if len(e._terms) == 1:
+                ((k, c),) = e._terms.items()
+                if abs(c) == 1 and ((k + top) >> q_shift) & _MASK == _HALF:
+                    units.append(j)
+        return sorted(units)
+
     cols = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
     live_rows, live_cols = list(range(n)), list(range(n))
-    units = [sorted([j for j, e in row.items() if is_unit(e)]) for row in rows]
+    units = [unit_columns(row) for row in rows]
     unit, sign = LaurentPoly.const(vars, 1), 1
     while True:
         best, best_cost = None, n * n
@@ -803,58 +802,42 @@ def _unit_steps(rows, vars, is_unit):
                         cols[j].discard(i)
             if not row:
                 return None
-            units[i] = sorted([j for j, e in row.items() if is_unit(e)])
+            units[i] = unit_columns(row)
 
 
 def _bareiss_det(rows, vars):
-    """Determinant over an integral domain of Laurent polynomials.
+    """Determinant over an integral domain of Laurent polynomials, by Bareiss (1968).
 
-    ``rows`` is a square matrix as sparse rows {column: nonzero entry}, and
-    is consumed.  ``_unit_steps`` first takes every unit pivot it can; then
-    each step takes the entry with the fewest terms in the lowest live
-    column, ties going to the lowest row, and ``_bareiss_step`` eliminates
-    it.  No unit step follows a Bareiss step, so the Bareiss steps run on
-    the Schur complement the unit steps leave, and each of their divisions
-    is exact.  The determinant is the sign times the product of the unit
-    pivots times the last Bareiss pivot, if any; a row the unit steps
-    empty, or a lowest live column with no entry, makes it zero.
+    ``rows`` is a square matrix as sparse rows {column: nonzero entry} with
+    columns 0..n-1, and is consumed.  Step k takes the entry of column k
+    with the fewest terms, ties going to the lowest row at or below row k,
+    and swaps its row into row k, each swap flipping the sign.  Every row m
+    below becomes (p_k * m - m_k * row k) / p_(k-1), p_k the step-k pivot
+    and no division on the first step; a row with no entry in column k
+    just becomes p_k * m / p_(k-1).  By Sylvester's identity every entry so
+    formed is a minor of the matrix, so every division is exact, and the
+    last pivot is the determinant.  A column with no entry at or below its
+    step makes the determinant zero; the 0x0 determinant is one.
     """
-    steps = _unit_steps(rows, vars, _is_unit)
-    if steps is None:
-        return LaurentPoly.zero(vars)
-    sign, unit, live_rows, live_cols = steps
-    prev = None
-    while live_rows:
-        pj = live_cols.pop(0)
-        holders = [i for i in live_rows if pj in rows[i]]
+    n = len(rows)
+    sign, prev = 1, LaurentPoly.const(vars, 1)
+    for k in range(n):
+        holders = [i for i in range(k, n) if k in rows[i]]
         if not holders:
             return LaurentPoly.zero(vars)
-        pi = min(holders, key=lambda i: (len(rows[i][pj]._terms), i))
-        if live_rows.index(pi) % 2:
+        pi = min(holders, key=lambda i: (len(rows[i][k]._terms), i))
+        if pi != k:
+            rows[pi], rows[k] = rows[k], rows[pi]
             sign = -sign
-        live_rows.remove(pi)
-        prow = rows[pi]
-        pivot = prow.pop(pj)
-        _bareiss_step(rows, live_rows, prow, pj, pivot, prev)
+        prow = rows[k]
+        pivot = prow.pop(k)
+        for i in range(k + 1, n):
+            row = rows[i]
+            a = row.pop(k, None)
+            new = {j: pivot * e for j, e in row.items()}
+            if a is not None:
+                for j, e in prow.items():
+                    new[j] = new[j] - a * e if j in new else -(a * e)
+            rows[i] = {j: e.exact_div(prev) if k else e for j, e in new.items() if e._terms}
         prev = pivot
-    value = unit if prev is None else unit * prev
-    return value if sign > 0 else -value
-
-
-def _bareiss_step(rows, live_rows, prow, k, pivot, prev):
-    """Bareiss (1968) step on the pivot at column k of the row ``prow``.
-
-    Every live row m becomes (pivot * m - m_k * prow) / prev, prev the
-    previous Bareiss pivot (no division on the first step); a row with no
-    entry in column k just becomes pivot * m / prev.  By Sylvester's
-    identity every entry so formed is a minor of the matrix the first
-    Bareiss step saw, so every division is exact.
-    """
-    for i in live_rows:
-        row = rows[i]
-        a = row.pop(k, None)
-        new = {j: pivot * e for j, e in row.items()}
-        if a is not None:
-            for j, e in prow.items():
-                new[j] = new[j] - a * e if j in new else -(a * e)
-        rows[i] = {j: e if prev is None else e.exact_div(prev) for j, e in new.items() if e._terms}
+    return prev if sign > 0 else -prev

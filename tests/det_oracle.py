@@ -1,4 +1,4 @@
-"""Division-free determinants, kept as test oracles for ``knotparity.rings.det``.
+"""Determinants kept as test oracles for ``knotparity.rings.det``.
 
 ``berkowitz_det`` is the Berkowitz vector recurrence and ``cofactor_det`` the
 Laplace expansion along the first row.  Both use only ring addition and
@@ -7,15 +7,25 @@ whole quotient-ring elements.  The package computes determinants by
 fraction-free elimination on each of the four images instead; the tests
 compare the two.
 
-``bareiss_loop`` is textbook Bareiss elimination on one image, with no unit
-steps: the "loop alone" oracle for ``knotparity.rings._bareiss_det``.
+``bareiss_loop`` is textbook Bareiss elimination on one image, and
+``per_image_det`` runs it on each of the four image matrices of a matrix of
+``QElement``, whole.  Neither shares elimination code with ``rings``, which
+takes unit steps over the free ring before Bareiss.
 
-``per_image_det`` is the determinant as the package computed it before it
-took unit steps over the free ring: each of the four image matrices of a
-matrix of ``QElement`` goes through ``_bareiss_det`` whole.
+``det_images_mod_p`` and ``images_mod_p`` make an oracle that scales to
+diagrams the exact oracles cannot reach (Schwartz, J. ACM 27, 1980; Zippel,
+EUROSAM 1979).  At a seeded random point modulo the prime P = 2^61 - 1,
+every free-ring entry of a matrix is evaluated under each of psi1..psi4,
+the determinant of each image matrix is taken mod P by Gaussian
+elimination, and the result must equal the matching image of the exact
+determinant evaluated at the same point.  An image determinant is a
+Laurent polynomial whose degrees are far below P, so a wrong one agrees at
+a random point with negligible probability.
 """
 
-from knotparity.rings import LaurentPoly, NonSquare, QElement, _bareiss_det
+from knotparity.rings import LaurentPoly, NonSquare, QElement
+
+P = (1 << 61) - 1
 
 
 def _check_square(rows):
@@ -131,21 +141,78 @@ def per_image_det(rows, ring):
 
     The four ring maps are homomorphisms, so the determinant's images are
     the determinants of the four image matrices; each is computed over its
-    Laurent ring by Gaussian steps on unit pivots, then fraction-free
-    Bareiss steps on the rest, in one loop (``_bareiss_det``).
-    The 0x0 determinant is the ring one.
+    Laurent ring by ``bareiss_loop``.  The 0x0 determinant is the ring one.
     """
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise NonSquare(f"{len(row)} entries in a row of a {n}-row matrix")
+    if not _check_square(rows):
+        return ring.one()
     return QElement(
         ring,
         tuple(
-            _bareiss_det(
+            bareiss_loop(
                 [{j: e.parts[c] for j, e in enumerate(row) if not e.parts[c].is_zero} for row in rows],
                 ring.vars,
             )
             for c in range(4)
         ),
     )
+
+
+def random_point(rng, ring):
+    """A value mod P for each of ``ring.vars``, never 0 or 1, so that every
+    variable and 1 - t are invertible."""
+    return {v: rng.randrange(2, P - 1) for v in ring.vars}
+
+
+def _image_points(point):
+    """The values of t, p, q and the extras under psi1..psi4 at ``point``."""
+    t = point["t"]
+    return (
+        {**point, "p": 1, "q": 0},
+        {**point, "t": 1, "q": 0},
+        {**point, "p": t, "q": (1 - t) % P},
+        {**point, "p": t, "q": (t - 1) % P},
+    )
+
+
+def _at(poly, values):
+    """A Laurent polynomial evaluated mod P; negative powers are inverses."""
+    total = 0
+    for exps, c in poly.terms.items():
+        for v, e in zip(poly.vars, exps):
+            c = c * pow(values[v], e, P) % P
+        total += c
+    return total % P
+
+
+def det_mod_p(matrix):
+    """Determinant mod P of a square matrix of ints, by Gaussian elimination."""
+    a = [[x % P for x in row] for row in matrix]
+    n = len(a)
+    value = 1
+    for k in range(n):
+        pi = next((i for i in range(k, n) if a[i][k]), None)
+        if pi is None:
+            return 0
+        if pi != k:
+            a[pi], a[k] = a[k], a[pi]
+            value = -value
+        prow = a[k]
+        value = value * prow[k] % P
+        inv = pow(prow[k], -1, P)
+        for row in a[k + 1 :]:
+            f = row[k] * inv % P
+            if f:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] - f * prow[j]) % P
+    return value % P
+
+
+def det_images_mod_p(entries, point):
+    """The determinants mod P of the four images of a square matrix of
+    ``LaurentPoly`` over a ring's ``full_vars``, at ``point``."""
+    return [det_mod_p([[_at(e, values) for e in row] for row in entries]) for values in _image_points(point)]
+
+
+def images_mod_p(value, point):
+    """The four images of a ``QElement`` at ``point``, mod P."""
+    return [_at(part, values) for part, values in zip(value.parts, _image_points(point))]

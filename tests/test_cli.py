@@ -145,6 +145,18 @@ def test_lenient_census(tmp_path, capsys):
     assert run(["invariant", "--type", "nprime", str(bad)]) == 1
 
 
+def test_undecodable_input_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bytes.gauss"
+    bad.write_bytes(b"k: O1+ U1+\n\xff\n")
+    assert run(["invariant", "--type", "s", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: line 2 is not valid UTF-8 (invalid start byte)\n"
+    assert run(["invariant", "--type", "s", str(bad), "--lenient"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "k: 0\n"
+    assert captured.err == "warning: line 2 skipped: line 2 is not valid UTF-8 (invalid start byte)\n"
+
+
 def test_usage_error_exit_code():
     assert run(["invariant", PAIR]) == 1  # missing --type
 

@@ -1,22 +1,23 @@
-"""Differential tests of ``rings.det`` against the Berkowitz oracle.
+"""Differential tests of ``rings.det`` against independent oracles.
 
-``rings.det`` takes unit steps over the free Laurent ring, then eliminates
-on each of the four images of what they leave separately;
+``rings.det`` takes unit steps over the free Laurent ring, then finishes
+each of the four images of what they leave by Bareiss elimination;
 ``det_oracle.berkowitz_det`` runs the division-free Berkowitz recurrence on
-whole elements, and ``det_oracle.per_image_det`` eliminates on the four
-images of the whole matrix, as the package did before.  All must agree on
-the invariant matrices of the fixtures and of seeded random diagrams, and
-on seeded random matrices chosen to be singular in some or all images.  q
-has no inverse in the quotient rings, so matrices whose only monomial
-entries are powers of q check that the free-ring steps never pivot on one.
+whole elements, and ``det_oracle.per_image_det`` runs textbook Bareiss on
+the four images of the whole matrix, with no unit steps.  All must agree
+on the invariant matrices of the fixtures and of seeded random diagrams,
+and on seeded random matrices chosen to be singular in some or all
+images.  q has no inverse in the quotient rings, so matrices whose only
+monomial entries are powers of q check that the free-ring steps never
+pivot on one.
 
-Each image's elimination is one loop of Gaussian steps on unit pivots,
-then Bareiss steps on what is left.  Textbook Bareiss elimination run alone
-on the whole image matrix is a second oracle, and seeded matrices are built
-to take one kind of step only: no unit entry (only Bareiss steps), a signed
-permutation of units and a triangle with unit diagonal (only unit steps),
-and a row emptied by the unit steps.  Diagrams of 25-45 crossings give the
-Bareiss steps rests of more than a few rows, where they divide.
+Seeded matrices are built to leave the Bareiss steps a known rest: no unit
+entry (the whole matrix), a signed permutation of units and a triangle
+with unit diagonal (an empty rest), and a row emptied by the unit steps
+(no rest at all).  Diagrams of 25-45 crossings leave rests of more than a
+few rows, where Bareiss divides.  Diagrams of 25-60 crossings, beyond the
+exact oracles' reach, are checked by evaluating every image at a seeded
+random point modulo 2^61 - 1 (``det_oracle.det_images_mod_p``).
 """
 
 import pathlib
@@ -29,9 +30,9 @@ from knotparity.diagram import parse_file
 from knotparity.matrix import build_M, build_Npp
 from knotparity.moves import random_diagram
 from knotparity.parity import ODD, hierarchy_types, parity_map
-from knotparity.rings import LaurentPoly, _bareiss_det, det, g_ring, rprime_ring
+from knotparity.rings import LaurentPoly, QElement, det, g_ring, rprime_ring
 
-from det_oracle import bareiss_loop, berkowitz_det, per_image_det
+from det_oracle import berkowitz_det, det_images_mod_p, images_mod_p, per_image_det, random_point
 from test_rings import rand_matrix_elem
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -46,67 +47,64 @@ def _invariant_matrices(d):
 RINGS = (g_ring(1), g_ring(2), rprime_ring())
 
 
-def _image_rows(rows, c):
-    return [{j: e.parts[c] for j, e in enumerate(row) if not e.parts[c].is_zero} for row in rows]
-
-
 def _checked_det(rows, ring):
-    """det(rows, ring), checked against Berkowitz, against the per-image
-    determinant and, image by image, against the Bareiss loop alone."""
+    """det(rows, ring), checked against Berkowitz and against the
+    determinant taken image by image.  An entry is a ``QElement`` or a
+    polynomial over ``ring.full_vars``, which the oracles see through
+    ``from_raw``."""
     value = det(rows, ring)
+    rows = [[e if isinstance(e, QElement) else ring.from_raw(e) for e in row] for row in rows]
     assert value == berkowitz_det(rows, ring), [[e.render() for e in row] for row in rows]
     assert value == per_image_det(rows, ring)
-    if rows:
-        _check_images_against_loop(rows, ring, value)
     return value
-
-
-def _check_images_against_loop(rows, ring, value):
-    for c in range(4):
-        loop_alone = bareiss_loop(_image_rows(rows, c), ring.vars)
-        assert _bareiss_det(_image_rows(rows, c), ring.vars) == loop_alone == value.parts[c]
 
 
 @pytest.fixture
 def bareiss_sizes(monkeypatch):
-    """bareiss_sizes(rows, ring) runs ``_bareiss_det`` on each image and
-    lists, per image, the number of live rows at each Bareiss step it takes.
-    Every step takes one live row, so the first Bareiss step of an n-row
-    image sees n rows exactly when no unit step ran before it."""
+    """bareiss_sizes(rows, ring) runs ``det`` and lists the row count of
+    each image of the Schur complement that it hands to ``_bareiss_det``:
+    four counts, or none when the free-ring unit steps empty a row."""
     sizes = []
-    step = rings._bareiss_step
+    bareiss = rings._bareiss_det
 
-    def spy(rows, live_rows, *args):
-        sizes.append(len(live_rows) + 1)  # the pivot row has left live_rows
-        return step(rows, live_rows, *args)
+    def spy(rows, vars):
+        sizes.append(len(rows))
+        return bareiss(rows, vars)
 
     def run(rows, ring):
-        per_image = []
-        for c in range(4):
-            sizes.clear()
-            _bareiss_det(_image_rows(rows, c), ring.vars)
-            per_image.append(list(sizes))
-        return per_image
+        sizes.clear()
+        det(rows, ring)
+        return list(sizes)
 
-    monkeypatch.setattr(rings, "_bareiss_step", spy)
+    monkeypatch.setattr(rings, "_bareiss_det", spy)
     return run
 
 
+# The step-kind tests build their matrices over the free ring, where the
+# unit steps run.  A unit of the quotient need not stay a monomial there:
+# the canonical form of p^2 has three terms.
+
+
+def _zero(ring):
+    return LaurentPoly.zero(ring.full_vars)
+
+
 def _unit(rng, ring):
-    """A signed monomial free of q: a unit of the ring and of every image."""
-    return ring.element(rng.choice((-1, 1)), **{v: rng.randint(-2, 2) for v in ring.vars})
+    """A signed monomial free of q: a unit of the free ring and of every image."""
+    return LaurentPoly.monomial(ring.full_vars, rng.choice((-1, 1)), **{v: rng.randint(-2, 2) for v in ring.vars})
 
 
 def _non_unit(rng, ring):
     """2 or 1 - t times a monomial: a unit in no image (1 - t vanishes in psi2)."""
+    full = ring.full_vars
     if rng.random() < 0.5:
-        return ring.element(rng.choice((-2, 2))) * _unit(rng, ring)
-    return (ring.one() - ring.element(t=1)) * _unit(rng, ring)
+        return LaurentPoly.const(full, rng.choice((-2, 2))) * _unit(rng, ring)
+    return (LaurentPoly.const(full, 1) - LaurentPoly.monomial(full, t=1)) * _unit(rng, ring)
 
 
 def _non_unit_rows(rng, ring, count, n):
     """``count`` rows of n entries, each zero (30 %) or a non-unit."""
-    return [[ring.zero() if rng.random() < 0.3 else _non_unit(rng, ring) for _ in range(n)] for _ in range(count)]
+    return [[_zero(ring) if rng.random() < 0.3 else _non_unit(rng, ring) for _ in range(n)] for _ in range(count)]
 
 
 def _shuffled(rng, rows):
@@ -164,13 +162,9 @@ def test_det_without_unit_entries_is_the_bareiss_loop(bareiss_sizes):
         ring = RINGS[trial % 3]
         n = rng.randint(1, 5)
         rows = _non_unit_rows(rng, ring, n, n)
-        value = _checked_det(rows, ring)
-        for sizes, image in zip(bareiss_sizes(rows, ring), value.parts):
-            # every step is a Bareiss step, and all n are taken unless the
-            # image's determinant is zero
-            assert sizes == list(range(n, 0, -1))[: len(sizes)]
-            if not image.is_zero:
-                assert len(sizes) == n
+        _checked_det(rows, ring)
+        # no unit step: every image gets the whole matrix
+        assert bareiss_sizes(rows, ring) == [n] * 4
 
 
 def test_det_of_signed_unit_permutations(bareiss_sizes):
@@ -180,14 +174,15 @@ def test_det_of_signed_unit_permutations(bareiss_sizes):
         ring = RINGS[trial % 3]
         n = rng.randint(1, 6)
         perm = rng.sample(range(n), n)
-        rows = [[ring.zero()] * n for _ in range(n)]
+        rows = [[_zero(ring)] * n for _ in range(n)]
         for i, j in enumerate(perm):
             rows[i][j] = _unit(rng, ring)
         value = _checked_det(rows, ring)
-        assert bareiss_sizes(rows, ring) == [[]] * 4
-        product = ring.one()
+        assert bareiss_sizes(rows, ring) == [0] * 4
+        product = LaurentPoly.const(ring.full_vars, 1)
         for i, j in enumerate(perm):
             product = product * rows[i][j]
+        product = ring.from_raw(product)
         assert value in (product, -product)
         signs.add(value == product)
     assert signs == {True, False}
@@ -200,11 +195,11 @@ def test_det_of_unit_triangles_needs_no_bareiss(bareiss_sizes):
         n = rng.randint(1, 6)
         rows = _non_unit_rows(rng, ring, n, n)
         for i, row in enumerate(rows):
-            row[:i] = [ring.zero()] * i
+            row[:i] = [_zero(ring)] * i
             row[i] = _unit(rng, ring)
         rows = _shuffled(rng, rows)
         value = _checked_det(rows, ring)
-        assert bareiss_sizes(rows, ring) == [[]] * 4
+        assert bareiss_sizes(rows, ring) == [0] * 4
         assert not any(x.is_zero for x in value.parts)
 
 
@@ -215,12 +210,12 @@ def test_det_zero_when_unit_steps_empty_a_row(bareiss_sizes):
         n = rng.randint(2, 6)
         # only the first row and a unit multiple of it hold units, so the
         # first unit step clears the multiple
-        first = [_unit(rng, ring) if j == 0 or rng.random() < 0.6 else ring.zero() for j in range(n)]
+        first = [_unit(rng, ring) if j == 0 or rng.random() < 0.6 else _zero(ring) for j in range(n)]
         u = _unit(rng, ring)
         rows = [first] + _non_unit_rows(rng, ring, n - 2, n) + [[u * e for e in first]]
         rows = _shuffled(rng, rows)
         assert _checked_det(rows, ring).is_zero
-        assert bareiss_sizes(rows, ring) == [[]] * 4
+        assert bareiss_sizes(rows, ring) == []
 
 
 def test_det_takes_no_unit_step_after_a_bareiss_step(bareiss_sizes):
@@ -230,7 +225,7 @@ def test_det_takes_no_unit_step_after_a_bareiss_step(bareiss_sizes):
     for ring in RINGS:
         rows = [[ring.element(c) if c else ring.zero() for c in row] for row in ((2, 3, 0), (3, 5, 2), (0, 2, 2))]
         assert _checked_det(rows, ring) == ring.element(-6)
-        assert bareiss_sizes(rows, ring) == [[3, 2, 1]] * 4
+        assert bareiss_sizes(rows, ring) == [3] * 4
 
 
 def test_det_matches_both_oracles_on_mixed_matrices():
@@ -248,9 +243,9 @@ def test_det_matches_the_bareiss_loop_on_large_diagrams(bareiss_sizes):
     for _ in range(8):
         d = random_diagram(rng, rng.randint(25, 45), rng.randint(0, 2))
         for m, rows, ring in _invariant_matrices(d):
-            _check_images_against_loop(rows, ring, m.det())
-            longest = max(longest, *map(len, bareiss_sizes(rows, ring)))
-    # some image takes four Bareiss steps, three of which divide
+            assert m.det() == per_image_det(rows, ring)
+            longest = max(longest, *bareiss_sizes(m.entries, ring))
+    # some image gets a rest of four rows, so three Bareiss steps divide
     assert longest >= 4
 
 
@@ -299,3 +294,20 @@ def test_q_is_never_a_pivot():
             [mono(p=1) + mono(2), mono(q=1), mono(q=3)],
         ]
         assert det(raw, ring) == per_image_det([[ring.from_raw(e) for e in row] for row in raw], ring)
+
+
+def test_det_matches_evaluation_mod_p_on_large_diagrams():
+    # twelve diagrams, 26-58 crossings, about 2 s; some seeds draw a
+    # genus-2 diagram whose exact s alone takes seconds
+    rng = random.Random(1830)
+    nonzero_images = 0
+    for genus in (0, 1, 2) * 4:
+        d = random_diagram(rng, rng.randint(25, 60), genus)
+        for m in (build_M(d, parity_map(d)), build_Npp(d, hierarchy_types(d))):
+            value, point = m.det(), random_point(rng, m.ring)
+            expected = det_images_mod_p(m.entries, point)
+            assert images_mod_p(value, point) == expected
+            nonzero_images += sum(map(bool, expected))
+            # the oracle sees a sign error in any nonzero image
+            assert value.is_zero or images_mod_p(-value, point) != expected
+    assert nonzero_images > 0

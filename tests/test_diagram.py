@@ -90,6 +90,30 @@ def test_serialize_round_trip_fixed():
         assert parse_line(d.serialize()) == d
 
 
+def test_gauss_code_named_like_a_genus_header():
+    # only "genus" and whitespace starts a surface line
+    for name in ("genus1", "genus", "genus-2", "genus_x"):
+        d = parse_gauss(f"{name}: O1+ U1+")
+        assert parse_line(d.serialize()) == d and d.genus == 0
+    d = parse_surface("genus 1; genus2: O1+ x1+ U1+")
+    assert parse_line(d.serialize()) == d
+    for line in ("genus 1: O1+ U1+", " genus\t1: O1+ U1+"):
+        with pytest.raises(MalformedToken, match="missing 'genus g;' header"):
+            parse_line(line)
+
+
+def test_undecodable_line_is_malformed(tmp_path):
+    path = tmp_path / "bytes.gauss"
+    path.write_bytes(b"k: O1+ U1+\r\n\xff\n# caf\xc3\xa9\nj: O1- U1-\rbad: \xc3\x28\n")
+    with pytest.raises(DiagramError, match="line 2 is not valid UTF-8"):
+        parse_file(path)
+    diagrams, errors = parse_file(path, lenient=True)
+    # lines end at \n, \r\n or \r; UTF-8 in a comment is fine
+    assert [d.name for d in diagrams] == ["k", "j"]
+    assert [lineno for lineno, _ in errors] == [2, 5]
+    assert all("not valid UTF-8" in msg for _, msg in errors)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 2))
 def test_serialize_round_trip_random(seed, n, genus):
