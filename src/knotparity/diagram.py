@@ -65,6 +65,10 @@ class GenusTooLarge(DiagramError):
     pass
 
 
+class VertexRepeated(DiagramError):
+    pass
+
+
 # The most tokens a parsed diagram may have.  With T tokens the matrices
 # have N <= T rows and entries whose exponents are at most max(2, S) in
 # absolute value, S <= T being the side-token count (or, for the virtual
@@ -112,7 +116,9 @@ class Vertex:
         return f"v{self.vid}"
 
 
-_TOKEN_RE = re.compile(r"^(?:([OUx])(\d+)([+-])|v(\d+))$")
+# ASCII digits only: int() also reads other scripts' digits, which would not
+# survive serialization
+_TOKEN_RE = re.compile(r"^(?:([OUx])([0-9]+)([+-])|v([0-9]+))$")
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,8 @@ class Diagram:
     tokens: tuple
 
     def __post_init__(self):
+        if len(set(self.vertex_ids)) < len(self.vertex_ids):
+            raise VertexRepeated(f"{self.name}: a vertex id appears twice")
         seen = {}
         for tok in self.tokens:
             if isinstance(tok, SideToken):
@@ -200,11 +208,14 @@ def _parse_tokens(name, genus, body):
         m = _TOKEN_RE.match(word)
         if not m:
             raise MalformedToken(f"{name}: bad token {word!r}")
-        if m.group(4) is not None:
-            tokens.append(Vertex(int(m.group(4))))
-            continue
-        kind, num, sign = m.group(1), int(m.group(2)), 1 if m.group(3) == "+" else -1
-        if kind == "x":
+        try:
+            num = int(m.group(2) or m.group(4))
+        except ValueError:  # more digits than int() converts
+            raise MalformedToken(f"{name}: too many digits in token {word[:20]}...") from None
+        kind, sign = m.group(1), 1 if m.group(3) == "+" else -1
+        if kind is None:
+            tokens.append(Vertex(num))
+        elif kind == "x":
             tokens.append(SideToken(num, sign))
         else:
             tokens.append(Passage(num, kind == "O", sign))
@@ -232,7 +243,7 @@ def parse_gauss(text):
 def parse_surface(text):
     """Parse ``genus g; name: ...`` into a surface diagram."""
     line = text.strip()
-    m = re.match(r"^genus\s+(\d+)\s*;\s*(.*)$", line)
+    m = re.match(r"^genus\s+([0-9]+)\s*;\s*(.*)$", line)
     if not m:
         raise MalformedToken(f"missing 'genus g;' header in {line!r}")
     digits, rest = m.group(1).lstrip("0") or "0", m.group(2)

@@ -17,11 +17,14 @@ contribute the row  -1 * out + x^label * in.
 
 The virtual-knot matrix uses the same rules with type 2 in place of even and
 type 1 in place of odd, labels being powers of s accumulated through type-0
-crossings; type-0 crossings contribute no rows.  Both matrices are filled by
-one routine, ``_fill``, from the arcs of ``diagram.arcs`` and
-``diagram.short_arcs``; the label monomial of an incidence is the product of
-the ring's extra variables (x1..x2g, or s) raised to its label entries.  The
-presentation matrix reads its generators from the same arc walk.
+crossings; type-0 crossings contribute no rows.  All three matrices are
+filled by one routine, ``_fill``, from one arc walk each: ``diagram.arcs``,
+``diagram.short_arcs`` and the presentation's walk, which also stops at
+type-0 over-passages.  A per-incidence rule gives the rows an incidence
+writes to, with a coefficient for each, and ``_fill`` multiplies each
+coefficient by the label monomial of the incidence, the product of the
+ring's extra variables (x1..x2g, or s) raised to its label entries; the
+presentation's labels are empty.
 
 All three matrices hold one entry type: plain ``LaurentPoly`` values over
 the free ring, ``ring.full_vars`` for the two determinant matrices and
@@ -115,25 +118,29 @@ def _role_table(vars):
     return table
 
 
-def _fill(ring, table, keys, coef):
-    """Square grid over ``keys``: arc j adds coef(inc) * label monomial at row inc.
+def _fill(vars, extras, table, rows, cols, rule):
+    """Grid over ``rows`` x ``cols`` filled from the arcs of ``table``.
 
-    Rows and columns are both indexed by ``keys``, the (kind, id) sites in
-    display order; arc columns are keyed by their origin.  Entries are
-    polynomials over ``ring.full_vars``; empty cells share one zero.
+    Arc j's column is keyed (origin_kind, origin).  Each incidence of the arc
+    adds, for every (row key, coefficient) pair of ``rule(inc)``, coefficient
+    times its label monomial at that row; the monomial is ``extras`` raised
+    to the label.  Entries are polynomials over ``vars``; empty cells share
+    one zero.
     """
-    vars = ring.full_vars
-    idx = {k: i for i, k in enumerate(keys)}
+    ridx = {k: i for i, k in enumerate(rows)}
+    cidx = {k: j for j, k in enumerate(cols)}
     zero = LaurentPoly.zero(vars)
-    grid = [[zero] * len(keys) for _ in keys]
-    monomials = {}
+    grid = [[zero] * len(cols) for _ in rows]
+    monomials = {(0,) * len(extras): None}  # the zero label scales by 1
     for arc in table:
-        j = idx[arc.origin_kind, arc.origin]
+        j = cidx[arc.origin_kind, arc.origin]
         for inc in arc.incidences:
-            i = idx[inc.site_kind, inc.site]
             if inc.label not in monomials:
-                monomials[inc.label] = LaurentPoly.monomial(vars, **dict(zip(ring.extras, inc.label)))
-            grid[i][j] = grid[i][j] + coef(inc) * monomials[inc.label]
+                monomials[inc.label] = LaurentPoly.monomial(vars, **dict(zip(extras, inc.label)))
+            mono = monomials[inc.label]
+            for key, coef in rule(inc):
+                i = ridx[key]
+                grid[i][j] = grid[i][j] + (coef if mono is None else coef * mono)
     return tuple(tuple(row) for row in grid)
 
 
@@ -155,12 +162,14 @@ def build_M(d, par):
     one = LaurentPoly.const(ring.full_vars, 1)
     vertex_roles = {"out": -one, "in": one}
 
-    def coef(inc):
+    def rule(inc):
+        site = inc.site_kind, inc.site
         if inc.site_kind == "vertex":
-            return vertex_roles[inc.role]
-        return roles[par[inc.site] == EVEN, d.sign_of(inc.site) > 0][inc.role]
+            return [(site, vertex_roles[inc.role])]
+        return [(site, roles[par[inc.site] == EVEN, d.sign_of(inc.site) > 0][inc.role])]
 
-    return InvariantMatrix("G", ring, _fill(ring, arcs(d), keys, coef), keys, keys)
+    grid = _fill(ring.full_vars, ring.extras, arcs(d), keys, keys, rule)
+    return InvariantMatrix("G", ring, grid, keys, keys)
 
 
 def build_Npp(d, types):
@@ -175,10 +184,10 @@ def build_Npp(d, types):
     keep = tuple(sorted(c for c in d.crossings if types[c] != 0))
     roles = _role_table(ring.full_vars)
 
-    def coef(inc):
-        return roles[types[inc.site] == 2, d.sign_of(inc.site) > 0][inc.role]
+    def rule(inc):
+        return [(inc.site, roles[types[inc.site] == 2, d.sign_of(inc.site) > 0][inc.role])]
 
-    grid = _fill(ring, table, [("crossing", c) for c in keep], coef)
+    grid = _fill(ring.full_vars, ring.extras, table, keep, [("crossing", c) for c in keep], rule)
     return InvariantMatrix("Rprime", ring, grid, keep, keep)
 
 
@@ -196,8 +205,10 @@ _G_PLUS = {"w": 1}
 _G_MINUS = {"w": 1, "t": -1}
 
 
+@functools.lru_cache(maxsize=None)
 def _type0_coeffs(sign):
-    """(s^e, g_e * w, r^e) over ``RAW_VARS`` for a type-0 crossing of sign e."""
+    """(s^e, g_e * w, r^e) over ``RAW_VARS`` for a type-0 crossing of sign e,
+    built once per sign; the callers only read it."""
     mono = functools.partial(LaurentPoly.monomial, RAW_VARS)
     if sign > 0:
         return mono(s=1), mono(1, **_G_PLUS), mono(r=1)
@@ -210,9 +221,10 @@ def build_N_presentation(d, types):
     Generators are the short arcs broken at every classical under-passage
     and at type-0 over-passages, keyed ("u", c) and ("o", c) by the passage
     they leave, in token order; type-1/2 crossings contribute a single row
-    with the usual role labels, type-0 crossings two rows expressing both
-    emanating arcs in the incoming ones.  The matrix has no determinant, so
-    its ``ring`` is None.
+    ("rel", c) with the usual role labels, type-0 crossings two rows
+    ("rel-under", c) and ("rel-over", c) expressing both emanating arcs in
+    the incoming ones.  The matrix has no determinant, so its ``ring`` is
+    None.
     """
 
     def action(tok):
@@ -224,38 +236,23 @@ def build_N_presentation(d, types):
 
     table = walk(d.tokens, 0, action)
     gens = tuple((a.origin_kind, a.origin) for a in table)
-    gidx = {k: i for i, k in enumerate(gens)}
-    ends = {}        # terminal passage key -> generator of the arc ending there
-    overs = {}       # type-1/2 crossing -> generator passing over it
-    for gen, arc in zip(gens, table):
-        for inc in arc.incidences[1:]:
-            if inc.role == "over":
-                overs[inc.site] = gen
-            else:
-                ends[inc.site_kind, inc.site] = gen
-
-    zero = LaurentPoly.zero(RAW_VARS)
-    rows, row_keys = [], []
-
-    def add_row(key, *terms):
-        row = [zero] * len(gens)
-        for gen, c in terms:
-            row[gidx[gen]] = row[gidx[gen]] + c
-        rows.append(tuple(row))
-        row_keys.append(key)
-
+    rows = tuple(
+        (kind, c)
+        for c in sorted(d.crossings)
+        for kind in (("rel",) if types[c] else ("rel-under", "rel-over"))
+    )
     roles = _role_table(RAW_VARS)
     minus = LaurentPoly.const(RAW_VARS, -1)
-    for c in sorted(d.crossings):
-        sign = d.sign_of(c)
-        under, over = ("u", c), ("o", c)
+
+    def rule(inc):
+        c, sign = inc.site, d.sign_of(inc.site)
         if types[c] != 0:
-            coef = roles[types[c] == 2, sign > 0]
-            add_row(("rel", c), (under, coef["out"]), (ends[under], coef["in"]),
-                    (overs[c], coef["over"]))
-        else:
-            under_in, over_mix, over_in = _type0_coeffs(sign)
-            add_row(("rel-under", c), (under, minus), (ends[under], under_in))
-            add_row(("rel-over", c), (over, minus), (ends[under], over_mix),
-                    (ends[over], over_in))
-    return InvariantMatrix("Rraw", None, tuple(rows), tuple(row_keys), gens)
+            return [(("rel", c), roles[types[c] == 2, sign > 0][inc.role])]
+        if inc.role == "out":
+            return [(("rel-under" if inc.site_kind == "u" else "rel-over", c), minus)]
+        under_in, over_mix, over_in = _type0_coeffs(sign)
+        if inc.site_kind == "o":
+            return [(("rel-over", c), over_in)]
+        return [(("rel-under", c), under_in), (("rel-over", c), over_mix)]
+
+    return InvariantMatrix("Rraw", None, _fill(RAW_VARS, (), table, rows, gens, rule), rows, gens)

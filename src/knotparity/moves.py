@@ -166,22 +166,16 @@ def applicable(d, rng):
             for site in sites(toks, pos, i):
                 out.append(MoveInstance(kind, site))
 
-    seen = set()
+    # SidePass keys in order of first sight: the side token before a passage
+    # gives delta -sign, the one after it +sign
+    passes = {}
     for i, tok in enumerate(toks):
-        if not isinstance(tok, Passage):
-            continue
-        prv = toks[(i - 1) % n]
-        nxt = toks[(i + 1) % n]
-        if isinstance(prv, SideToken):
-            key = (tok.crossing, prv.side, -prv.sign)
-            if key not in seen:
-                seen.add(key)
-                out.append(MoveInstance("SidePass", key))
-        if isinstance(nxt, SideToken):
-            key = (tok.crossing, nxt.side, nxt.sign)
-            if key not in seen:
-                seen.add(key)
-                out.append(MoveInstance("SidePass", key))
+        if isinstance(tok, Passage):
+            for step in (-1, 1):
+                nb = toks[(i + step) % n]
+                if isinstance(nb, SideToken):
+                    passes[tok.crossing, nb.side, step * nb.sign] = None
+    out += [MoveInstance("SidePass", key) for key in passes]
 
     gaps = list(range(n + 1)) if n else [0]
     chosen = [rng.choice(gaps) for _ in range(INSERTION_SAMPLES)]
@@ -358,27 +352,23 @@ def _axiom_problems(before, after, move, par_b, ty_b, par_a, ty_a):
     common = set(par_b) & set(par_a)
     kind = move.kind
 
-    touched = set()
-    if kind in ("R1-", "R1+"):
-        side = before if kind == "R1-" else after
-        loop_ids = set(side.crossings) - set((after if kind == "R1-" else before).crossings)
-        touched = loop_ids
-        par, ty = (par_b, ty_b) if kind == "R1-" else (par_a, ty_a)
-        for c in loop_ids:
-            if par[c] != EVEN:
-                problems.append(f"loop crossing {c} not even")
-            if ty[c] != 2:
-                problems.append(f"loop crossing {c} not type 2")
-    elif kind in ("R2-", "R2+"):
-        pair = set(before.crossings) ^ set(after.crossings)
-        touched = pair
-        par, ty = (par_b, ty_b) if kind == "R2-" else (par_a, ty_a)
-        vals = [par[c] for c in pair]
-        tys = [ty[c] for c in pair]
-        if len(set(vals)) > 1:
-            problems.append(f"pair parity differs: {vals}")
-        if len(set(tys)) > 1:
-            problems.append(f"pair type differs: {tys}")
+    touched = ()
+    if kind in ("R1-", "R1+", "R2-", "R2+"):
+        # the loop crossing or the pair, read on the side that holds it
+        touched = sorted(set(before.crossings) ^ set(after.crossings))
+        par, ty = (par_b, ty_b) if kind.endswith("-") else (par_a, ty_a)
+        if kind.startswith("R1"):
+            for c in touched:
+                if par[c] != EVEN:
+                    problems.append(f"loop crossing {c} not even")
+                if ty[c] != 2:
+                    problems.append(f"loop crossing {c} not type 2")
+        else:
+            vals, tys = [par[c] for c in touched], [ty[c] for c in touched]
+            if len(set(vals)) > 1:
+                problems.append(f"pair parity differs: {vals}")
+            if len(set(tys)) > 1:
+                problems.append(f"pair type differs: {tys}")
     elif kind == "R3":
         trip = {
             before.tokens[i].crossing
@@ -396,7 +386,7 @@ def _axiom_problems(before, after, move, par_b, ty_b, par_a, ty_a):
             case = tuple(sorted(ty[c] for c in trip))
             if case not in _R3_CASES:
                 problems.append(f"R3 type case {case} not allowed")
-    for c in common - touched:
+    for c in common.difference(touched):
         if par_b[c] != par_a[c]:
             problems.append(f"untouched crossing {c} parity changed")
         if ty_b[c] != ty_a[c]:

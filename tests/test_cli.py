@@ -145,6 +145,24 @@ def test_lenient_census(tmp_path, capsys):
     assert run(["invariant", "--type", "nprime", str(bad)]) == 1
 
 
+def test_bad_numbers_and_repeated_vertices_exit_1(tmp_path, capsys):
+    ones = "1" * 5000
+    for bad, msg in (
+        ("genus 1; b: O1+ v1 x1+ U1+ v1", "b: a vertex id appears twice"),
+        (f"k: O{ones}+ U{ones}+", "k: too many digits in token O1111111111111111111..."),
+        ("k: O\u0661+ U\u0661+", "k: bad token 'O\u0661+'"),
+    ):
+        path = tmp_path / "bad.surf"
+        path.write_text(f"genus 1; ok: O1+ x1+ U1+\n{bad}\n", encoding="utf-8")
+        assert run(["invariant", "--type", "s", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {msg}\n"
+        assert run(["invariant", "--type", "s", str(path), "--lenient"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("ok: ") and captured.out.count("\n") == 1
+        assert captured.err == f"warning: line 2 skipped: {msg}\n"
+
+
 def test_undecodable_input_exits_1(tmp_path, capsys):
     bad = tmp_path / "bytes.gauss"
     bad.write_bytes(b"k: O1+ U1+\n\xff\n")

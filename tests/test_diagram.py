@@ -15,6 +15,7 @@ from knotparity.diagram import (
     SideIndexOutOfRange,
     SideToken,
     SignMismatch,
+    VertexRepeated,
     arcs,
     parse_file,
     parse_gauss,
@@ -73,6 +74,32 @@ def test_genus_ceiling(tmp_path):
         parse_file(path)
     diagrams, errors = parse_file(path, lenient=True)
     assert [d.name for d in diagrams] == ["small"] and [e[0] for e in errors] == [2]
+
+
+def test_repeated_vertex_id(tmp_path):
+    # two vertices with one id would share one matrix column
+    assert issubclass(VertexRepeated, DiagramError)
+    with pytest.raises(VertexRepeated, match="b: a vertex id appears twice"):
+        parse_surface("genus 1; b: O1+ v1 x1+ U1+ v1")
+    assert parse_surface("genus 1; b: O1+ v1 x1+ U1+ v2").vertex_ids == [1, 2]
+    path = tmp_path / "v.surf"
+    path.write_text("genus 1; b: O1+ v1 x1+ U1+ v1\ngenus 1; c: O1+ v1 x1+ U1+ v2\n")
+    diagrams, errors = parse_file(path, lenient=True)
+    assert [d.name for d in diagrams] == ["c"] and [e[0] for e in errors] == [1]
+
+
+def test_number_tokens():
+    # a number int() refuses is a malformed token, not a ValueError
+    ones = "1" * 5000
+    for line in (f"k: O{ones}+ U{ones}+", f"k: O1+ U1+ v{ones}"):
+        with pytest.raises(MalformedToken, match="too many digits"):
+            parse_gauss(line)
+    # only ASCII digits are digits
+    for line in ("k: O\u0661+ U\u0661+", "k: O1+ U1+ v\u0661"):
+        with pytest.raises(MalformedToken, match="bad token"):
+            parse_gauss(line)
+    with pytest.raises(MalformedToken, match="missing 'genus g;' header"):
+        parse_line("genus \u0661; k: O1+ x1+ U1+")
 
 
 def test_renumbering_by_first_appearance():

@@ -12,7 +12,7 @@ from knotparity.matrix import (
 )
 from knotparity.moves import random_diagram
 from knotparity.parity import hierarchy_types, parity_map
-from knotparity.rings import LaurentPoly, g_ring, rprime_ring
+from knotparity.rings import RAW_VARS, LaurentPoly, g_ring, rprime_ring
 from test_golden_matrix import golden_diagrams
 from rraw_oracle import ReducingRawRing, oracle_reduce, subs_inverse
 
@@ -261,6 +261,36 @@ def test_presentation_single_positive_type0_coefficients():
         if d.sign_of(cid) > 0:
             coeffs = {e.render() for e in row if not e.is_zero}
             assert coeffs <= allowed, coeffs
+
+
+def test_presentation_negative_type0_rows_by_hand():
+    # both crossings type 0 and negative.  The walk stops at every passage,
+    # so the generators are the arcs leaving O1, O2, U1, U2 in token order:
+    # a = O1 -> O2, b = O2 -> U1, c = U1 -> U2, e = U2 -> O1.  At crossing 1
+    # b enters the under-passage and e the over-passage, c and a leave them;
+    # at crossing 2 c enters under, a enters over, e and b leave.  With
+    # g_- = -1/t the rows read
+    #     rel-under: -out_under + s^-1 * in_under
+    #     rel-over:  -out_over  - w t^-1 * in_under + r^-1 * in_over
+    d = parse_gauss("k: O1- O2- U1- U2-")
+    types = hierarchy_types(d)
+    assert types == {1: 0, 2: 0}
+    pres = build_N_presentation(d, types)
+
+    def raw(coef=1, **exps):
+        return LaurentPoly.monomial(RAW_VARS, coef, **exps)
+
+    zero, minus, s_inv, r_inv = LaurentPoly.zero(RAW_VARS), raw(-1), raw(s=-1), raw(r=-1)
+    g_minus_w = raw(-1, t=-1, w=1)
+    assert pres.col_keys == (("o", 1), ("o", 2), ("u", 1), ("u", 2))
+    assert pres.row_keys == (("rel-under", 1), ("rel-over", 1), ("rel-under", 2), ("rel-over", 2))
+    assert pres.entries == (
+        (zero, s_inv, minus, zero),
+        (minus, g_minus_w, zero, r_inv),
+        (zero, zero, s_inv, minus),
+        (r_inv, minus, g_minus_w, zero),
+    )
+    assert pres.render_rows()[1] == "-1\t-t^-1*w\t0\tr^-1"
 
 
 def test_presentation_counts():
