@@ -146,6 +146,9 @@ def cmd_compare(args):
             return 1
         picked.append(found[0])
     d1, d2 = picked
+    if args.type == "s" and d1.genus != d2.genus:
+        print(f"error: s values of genus {d1.genus} and {d2.genus} lie in different rings", file=sys.stderr)
+        return 1
     inv = s_invariant if args.type == "s" else nprime_invariant
     res = compare(inv(d1), inv(d2))
     if args.json:

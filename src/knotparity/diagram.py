@@ -29,6 +29,7 @@ type-0 over-passages.
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass
 
@@ -267,14 +268,14 @@ def parse_line(text):
 def parse_file(path, lenient=False):
     """Parse a census file, one diagram per non-comment line.
 
-    The file is read as UTF-8, and a line that does not decode is a
-    malformed line.  With ``lenient`` malformed lines are collected instead
-    of raised.  Returns (diagrams, errors) where errors is a list of
-    (lineno, message).
+    The file is read as UTF-8, a leading byte-order mark is dropped, and a
+    line that does not decode is a malformed line.  With ``lenient``
+    malformed lines are collected instead of raised.  Returns (diagrams,
+    errors) where errors is a list of (lineno, message).
     """
     diagrams, errors = [], []
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     # bytes split at \n, \r and \r\n alone, as text files read by line do
     for lineno, raw in enumerate(data.splitlines(), start=1):
         try:

@@ -4,9 +4,11 @@ The determinants are defined only up to units +- t^a p^b q^c.  A value keeps
 its determinant as computed; deciding equivalence works on that, and a
 canonical orbit representative is built only when something prints it.
 
-Elements are stored as their images psi1..psi4 under the four ring maps of
-``rings`` (p=1; t=1; p=t with q=1-t; p=t with q=t-1), and a unit
-+- t^a p^b acts on them as plain exponent shifts:
+A unit is an element of the value's ring like any other, built by
+``ring.element`` and acting by multiplication.  Elements are stored as their
+images psi1..psi4 under the four ring maps of ``rings`` (p=1; t=1; p=t with
+q=1-t; p=t with q=t-1), where a unit +- t^a p^b shows as plain exponent
+shifts:
 
     psi1 -- picks up t^a            (fixes a when nonzero)
     psi2 -- picks up p^b            (fixes b when nonzero)
@@ -78,10 +80,6 @@ class InvariantValue:
     def is_zero(self):
         return self.det.is_zero
 
-    def original(self):
-        """The determinant, before any normalization."""
-        return self.det
-
     def render(self):
         return self.element.render()
 
@@ -106,7 +104,7 @@ def _shifted(elem):
         alpha = (delta - beta) if delta is not None else 0
     elif beta is None:
         beta = (delta - alpha) if delta is not None else 0
-    return elem.times_unit(1, alpha, beta), alpha, beta
+    return elem * elem.ring.element(t=alpha, p=beta), alpha, beta
 
 
 def normalize(elem):
@@ -145,37 +143,35 @@ def n_presentation(d):
 def compare(first, second):
     """Decide equivalence up to +- t^a p^b q^c with c in {0, 1}.
 
-    Accepts InvariantValue or bare elements over the same ring, and decides
-    on the shifted determinants without normalizing them; a value's shift
-    is computed once and kept on it.  Zero is equivalent only to zero.  The
+    Takes two InvariantValues over the same ring, and decides on their
+    shifted determinants without normalizing them; a value's shift is
+    computed once and kept on it.  Zero is equivalent only to zero.  The
     q-power is searched in {0, 1} only: as a multiplier, q^2 rewrites to the
     q-free (1-t)(1-p) and stops acting as a monomial unit.
     """
-    a, b = (x.det if isinstance(x, InvariantValue) else x for x in (first, second))
+    a, b = first.det, second.det
     if a.ring != b.ring:
         raise rings.RingMismatch(f"{a.ring} vs {b.ring}")
     if a.is_zero != b.is_zero:
         return ComparisonResult(DISTINCT)
-    shift_a, shift_b = (x._shift if isinstance(x, InvariantValue) else _shifted(x) for x in (first, second))
+    shift_a, shift_b = first._shift, second._shift
+    q = a.ring.element(q=1)
     for q_power, src, dst, shift_dst, expressed in (
         (0, a, b, shift_b, "second_from_first"),
         (1, a, b, shift_b, "second_from_first"),
         (1, b, a, shift_a, "first_from_second"),
     ):
-        ws, a_src, b_src = _shifted(src.times_q()) if q_power else shift_a
+        ws, a_src, b_src = _shifted(src * q) if q_power else shift_a
         wd, a_dst, b_dst = shift_dst
         sign = 1 if ws == wd else -1 if ws == -wd else 0
         if sign:
             unit = UnitRecord(sign, a_src - a_dst, b_src - b_dst, q_power)
-            _verify(src, dst, unit, expressed)
+            _verify(src, dst, unit)
             return ComparisonResult(EQUIVALENT, unit, expressed)
     return ComparisonResult(DISTINCT)
 
 
-def _verify(src, dst, unit, expressed):
-    prod = src
-    for _ in range(unit.q_power):
-        prod = prod.times_q()
-    prod = prod.times_unit(unit.sign, unit.t_shift, unit.p_shift)
-    if prod != dst:
+def _verify(src, dst, unit):
+    """Check the witness: dst == src * sign * t^a * p^b * q^c."""
+    if src * src.ring.element(unit.sign, q=unit.q_power, t=unit.t_shift, p=unit.p_shift) != dst:
         raise AssertionError("unit witness failed verification")

@@ -17,7 +17,9 @@ Two layers live here:
 Matrices are built over the free Laurent ring on ``full_vars`` (or on
 ``RAW_VARS``, the variables t, p, q, s, r, w of the module presentation,
 whose relations are listed in ``matrix``) and enter a quotient ring only
-through its one ring map, ``QuotientRing.from_raw``.
+through its one ring map, ``QuotientRing.from_raw``.  So do the units
++-t^a p^b q^c that the invariants are taken up to: ``QuotientRing.element``
+maps the monomial, and a unit acts by plain multiplication.
 
 The quotient rings by their specializations.  The two relations let every
 element be written A + B*q with B free of p (q*p = q*t), and they force
@@ -35,8 +37,8 @@ maps to Laurent rings respect both relations:
 and together they are injective: if all four images vanish, then
 psi3 - psi4 = 2(1-t)B gives B = 0, and A vanishes modulo each of 1-t, p-1 and
 p-t, hence modulo their product.  A ``QElement`` stores the four images, so
-sums, products, equality and unit multiples act per component and nothing is
-ever rewritten.  Each image lives in a Laurent ring over an integral domain.
+sums, products and equality act per component and nothing is ever
+rewritten.  Each image lives in a Laurent ring over an integral domain.
 
 For rendering, the canonical pair is rebuilt from the images.  With
 m = (p - 1)*(p - t), monic in p with unit constant term, every A divides as
@@ -104,7 +106,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
 
@@ -443,8 +445,13 @@ class QuotientRing:
     def one(self):
         return QElement(self, (LaurentPoly.const(self.vars, 1),) * 4)
 
+    @lru_cache
     def element(self, coef=1, q=0, **exps):
-        """Monomial element coef * t^.. p^.. q^q * extras^.."""
+        """Monomial element coef * t^.. p^.. q^q * extras^.., through ``from_raw``.
+
+        Units act on elements by multiplying with one of these; a sweep asks
+        for few distinct units many times over, so the last 128 are kept.
+        """
         raw = LaurentPoly.monomial(self.full_vars, coef, q=q, **exps)
         return self.from_raw(raw)
 
@@ -491,13 +498,8 @@ class QuotientRing:
         parts = (psi1, psi2, psi3, psi4)
         return QElement(self, tuple(_poly(vars, {k: v for k, v in d.items() if v}, bound) for d in parts))
 
-    @cached_property
-    def _one_minus_t(self):
-        """1 - t over ``vars``: the image of q under psi3, and minus that under psi4."""
-        return LaurentPoly.const(self.vars, 1) - LaurentPoly.monomial(self.vars, 1, t=1)
-
     def __repr__(self):
-        return f"QuotientRing({self.tag})"
+        return f"QuotientRing({', '.join((self.tag,) + self.extras)})"
 
 
 @lru_cache(maxsize=None)
@@ -530,10 +532,11 @@ class QElement:
 
     for the element A + B*q.  The maps are ring homomorphisms and jointly
     injective (see the module docstring), so sums, products and equality
-    act per component.  The canonical pair (A, B) that ``render`` prints is
-    rebuilt from the parts by ``canonical_pair`` the first time it is asked
-    for and kept in ``_pair``, and its embedding in the free ring is kept in
-    ``_full`` by ``to_full_poly``; negation carries both over.
+    act per component, and a unit multiple is the product with the unit's
+    ``QuotientRing.element``.  The canonical pair (A, B) that ``render``
+    prints is rebuilt from the parts by ``canonical_pair`` the first time it
+    is asked for and kept in ``_pair``, and its embedding in the free ring
+    is kept in ``_full`` by ``to_full_poly``; negation carries both over.
     """
 
     __slots__ = ("ring", "parts", "_pair", "_full")
@@ -576,26 +579,6 @@ class QElement:
         )
 
     __hash__ = None
-
-    def times_unit(self, sign, t_exp, p_exp):
-        """Multiply by sign * t^t_exp * p^p_exp, whose images are
-        sign * t^t_exp, sign * p^p_exp and twice sign * t^(t_exp + p_exp)."""
-        vars, zeros = self.ring.vars, (0,) * len(self.ring.extras)
-        t_ab = _poly(vars, {_pack((t_exp + p_exp, 0) + zeros): sign}, abs(t_exp + p_exp))
-        units = (
-            _poly(vars, {_pack((t_exp, 0) + zeros): sign}, abs(t_exp)),
-            _poly(vars, {_pack((0, p_exp) + zeros): sign}, abs(p_exp)),
-            t_ab,
-            t_ab,
-        )
-        return QElement(self.ring, tuple(x * u for x, u in zip(self.parts, units)))
-
-    def times_q(self):
-        """Multiply by q, which psi1..psi4 send to 0, 0, 1-t and t-1."""
-        _, _, psi3, psi4 = self.parts
-        one_minus_t = self.ring._one_minus_t
-        zero = LaurentPoly.zero(self.ring.vars)
-        return QElement(self.ring, (zero, zero, psi3 * one_minus_t, -psi4 * one_minus_t))
 
     def canonical_pair(self):
         """The canonical (A, B) of A + B*q, rebuilt from the four parts.
@@ -666,9 +649,8 @@ RAW_VARS = ("t", "p", "q", "s", "r", "w")
 def det(rows, ring):
     """Determinant of a square matrix over ``ring``.
 
-    ``rows`` is dense; an entry is a ``LaurentPoly`` over ``ring.full_vars``
-    or a ``QElement`` of ``ring``, which enters through ``to_full_poly``.
-    Each row is scanned once for its nonzero cells.
+    ``rows`` is dense, and every entry is a ``LaurentPoly`` over
+    ``ring.full_vars``.  Each row is scanned once for its nonzero cells.
 
     A signed monomial free of q is a unit of the free Laurent ring and of
     every image, so ``_unit_steps`` first eliminates such pivots over the
@@ -688,10 +670,6 @@ def det(rows, ring):
             raise NonSquare(f"{len(row)} entries in a row of a {n}-row matrix")
         cells = {}
         for j, e in enumerate(row):
-            if isinstance(e, QElement):
-                if e.ring != ring:
-                    raise VariableSetMismatch(f"{e.ring} vs {ring}")
-                e = e.to_full_poly()
             if e._terms:
                 if e.vars != full:
                     raise VariableSetMismatch(f"{e.vars} vs {full}")

@@ -39,7 +39,7 @@ def test_every_observer_reads_a_real_return_value():
         for d in parse_file(ROOT / "fixtures" / fixture)[0]:
             for m in (build_M(d, parity_map(d)), build_Npp(d, hierarchy_types(d))):
                 returned["matrix.build"].append(m)
-                returned["rings.det"].append(rings.det([[m.ring.from_raw(e) for e in row] for row in m.entries], m.ring))
+                returned["rings.det"].append(rings.det(m.entries, m.ring))
     observers = {(name, observe) for _, _, name, observe in _load_spans().PROBES if observe is not None}
     assert {name for name, _ in observers} == set(returned)
     for name, observe in observers:

@@ -78,6 +78,29 @@ def test_compare_rejects_an_ambiguous_name(tmp_path, capsys):
     assert run(["compare", "--type", "nprime", str(census), "b", "b"]) == 0
 
 
+def test_compare_s_across_genera_exits_1(tmp_path, capsys):
+    census = tmp_path / "genera.surf"
+    census.write_text("genus 1; b: x1+ x1-\nc: \n")
+    assert run(["compare", str(census), "b", "c"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: s values of genus 1 and 0 lie in different rings\n"
+    # nprime values of every genus share one ring
+    assert run(["compare", "--type", "nprime", str(census), "b", "c"]) == 0
+    assert capsys.readouterr().out == "EquivalentUpToUnits: unit sign=+ t^0 p^0 q^0 (second_from_first)\n"
+
+
+def test_byte_order_mark_starts_no_line(tmp_path, capsys):
+    surf = tmp_path / "bom.surf"
+    surf.write_bytes(b"\xef\xbb\xbfgenus 1; a: O1+ x1+ U1+\n")
+    assert run(["invariant", "--type", "s", str(surf)]) == 0
+    assert capsys.readouterr().out.startswith("a: ")
+    gauss = tmp_path / "bom.gauss"
+    gauss.write_bytes(b"\xef\xbb\xbfa: O1+ U1+\n")
+    assert run(["compare", str(gauss), "a", "a"]) == 0
+    assert capsys.readouterr().out.startswith("EquivalentUpToUnits")
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # the read end is closed before the command starts, so its first flush
     # of stdout meets a broken pipe

@@ -30,10 +30,10 @@ from knotparity.diagram import parse_file
 from knotparity.matrix import build_M, build_Npp
 from knotparity.moves import random_diagram
 from knotparity.parity import ODD, hierarchy_types, parity_map
-from knotparity.rings import LaurentPoly, QElement, det, g_ring, rprime_ring
+from knotparity.rings import LaurentPoly, det, g_ring, rprime_ring
 
 from det_oracle import berkowitz_det, det_images_mod_p, images_mod_p, per_image_det, random_point
-from test_rings import rand_matrix_elem
+from test_rings import full_rows, rand_matrix_elem
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -49,11 +49,10 @@ RINGS = (g_ring(1), g_ring(2), rprime_ring())
 
 def _checked_det(rows, ring):
     """det(rows, ring), checked against Berkowitz and against the
-    determinant taken image by image.  An entry is a ``QElement`` or a
-    polynomial over ``ring.full_vars``, which the oracles see through
-    ``from_raw``."""
+    determinant taken image by image.  An entry is a polynomial over
+    ``ring.full_vars``, which the oracles see through ``from_raw``."""
     value = det(rows, ring)
-    rows = [[e if isinstance(e, QElement) else ring.from_raw(e) for e in row] for row in rows]
+    rows = [[ring.from_raw(e) for e in row] for row in rows]
     assert value == berkowitz_det(rows, ring), [[e.render() for e in row] for row in rows]
     assert value == per_image_det(rows, ring)
     return value
@@ -117,7 +116,7 @@ def test_det_matches_berkowitz_on_fixtures():
     for fixture in ("torus_pair.surf", "sample.gauss"):
         for d in parse_file(FIXTURES / fixture)[0]:
             for m, rows, ring in _invariant_matrices(d):
-                assert m.det() == _checked_det(rows, ring)
+                assert m.det() == _checked_det(full_rows(rows), ring)
 
 
 def test_det_matches_berkowitz_on_random_diagrams():
@@ -126,7 +125,7 @@ def test_det_matches_berkowitz_on_random_diagrams():
     for _ in range(300):
         d = random_diagram(rng, rng.randint(2, 12), rng.randint(0, 2))
         for m, rows, ring in _invariant_matrices(d):
-            value = _checked_det(rows, ring)
+            value = _checked_det(full_rows(rows), ring)
             assert m.det() == value
             if not value.is_zero and any(x.is_zero for x in value.parts):
                 some_images_vanish += 1
@@ -145,14 +144,14 @@ def test_det_matches_berkowitz_on_singular_matrices():
         repeated_row = m[:-1] + [m[0]]
         zero_column = [row[:col] + [ring.zero()] + row[col + 1 :] for row in m]
         for rows in (repeated_row, zero_column):
-            assert _checked_det(rows, ring).is_zero
-        _checked_det(m, ring)
+            assert _checked_det(full_rows(rows), ring).is_zero
+        _checked_det(full_rows(m), ring)
         # every entry odd in q: psi1 and psi2 send q to 0, so those images
         # of the matrix vanish; one odd column makes them singular as well
         all_odd = [[e * q for e in row] for row in m]
         odd_column = [row[:col] + [row[col] * q] + row[col + 1 :] for row in m]
         for rows in (all_odd, odd_column):
-            psi1, psi2, _, _ = _checked_det(rows, ring).parts
+            psi1, psi2, _, _ = _checked_det(full_rows(rows), ring).parts
             assert psi1.is_zero and psi2.is_zero
 
 
@@ -223,7 +222,7 @@ def test_det_takes_no_unit_step_after_a_bareiss_step(bareiss_sizes):
     # into (1, 4): a unit step on that 1 would skip the division by 2 that
     # the last Bareiss step owes, and give -12
     for ring in RINGS:
-        rows = [[ring.element(c) if c else ring.zero() for c in row] for row in ((2, 3, 0), (3, 5, 2), (0, 2, 2))]
+        rows = [[LaurentPoly.const(ring.full_vars, c) for c in row] for row in ((2, 3, 0), (3, 5, 2), (0, 2, 2))]
         assert _checked_det(rows, ring) == ring.element(-6)
         assert bareiss_sizes(rows, ring) == [3] * 4
 
@@ -233,7 +232,12 @@ def test_det_matches_both_oracles_on_mixed_matrices():
     for trial in range(90):
         ring = RINGS[trial % 3]
         n = rng.randint(1, 6)
-        kinds = (ring.zero, lambda: _unit(rng, ring), lambda: _non_unit(rng, ring), lambda: rand_matrix_elem(rng, ring))
+        kinds = (
+            lambda: _zero(ring),
+            lambda: _unit(rng, ring),
+            lambda: _non_unit(rng, ring),
+            lambda: rand_matrix_elem(rng, ring).to_full_poly(),
+        )
         _checked_det([[rng.choice(kinds)() for _ in range(n)] for _ in range(n)], ring)
 
 
@@ -280,9 +284,9 @@ def test_q_is_never_a_pivot():
     # taking q as a pivot would need q^-1, which from_raw rejects
     for ring in RINGS:
         q, one = ring.element(q=1), ring.one()
-        assert det([[q]], ring) == per_image_det([[q]], ring) == q
+        assert det(full_rows([[q]]), ring) == per_image_det([[q]], ring) == q
         rows = [[q, one], [one, q]]
-        assert det(rows, ring) == per_image_det(rows, ring) == q * q - one
+        assert det(full_rows(rows), ring) == per_image_det(rows, ring) == q * q - one
         full = ring.full_vars
 
         def mono(coef=1, **exps):

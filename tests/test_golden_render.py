@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotparity.diagram import parse_file
-from knotparity.invariant import compare, nprime_invariant, s_invariant
+from knotparity.invariant import compare, make_value, nprime_invariant, s_invariant
 from knotparity.moves import random_diagram
 from knotparity.rings import g_ring, rprime_ring
 
@@ -50,7 +50,7 @@ def ring_records():
         "elements": [e.render() for e in elems],
         # elements i and i+3 share a ring
         "products": [(elems[i] * elems[i + 3]).render() for i in range(N_PRODUCTS)],
-        "times_q": [e.times_q().render() for e in elems],
+        "times_q": [(e * e.ring.element(q=1)).render() for e in elems],
     }
 
 
@@ -61,12 +61,11 @@ def _unit(rec):
 def _value_record(value, rng):
     """Render and unit record of a value, and the witness that compare finds
     between it and a seeded random unit multiple of itself."""
-    other = value.original().times_unit(
-        rng.choice((1, -1)), rng.randint(-3, 3), rng.randint(-3, 3)
-    )
+    ring = value.det.ring
+    other = value.det * ring.element(rng.choice((1, -1)), t=rng.randint(-3, 3), p=rng.randint(-3, 3))
     if rng.random() < 0.5:
-        other = other.times_q()
-    res = compare(value, other)
+        other = other * ring.element(q=1)
+    res = compare(value, make_value(value.tag, other))
     return {
         "render": value.render(),
         "unit": _unit(value.record),
@@ -125,7 +124,7 @@ def test_full_poly_round_trip(seed):
     ring = RINGS[seed % 3]
     x = ring.from_raw(rand_raw(rng, ring, terms=5, qmax=3))
     y = ring.from_raw(rand_raw(rng, ring, terms=3, qmax=3))
-    for e in (x, x * y, x.times_q()):
+    for e in (x, x * y, x * ring.element(q=1)):
         assert ring.from_raw(e.to_full_poly()) == e
 
 

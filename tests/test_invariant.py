@@ -12,6 +12,7 @@ from knotparity.diagram import parse_file, parse_gauss, parse_line, parse_surfac
 from knotparity.invariant import (
     DISTINCT,
     EQUIVALENT,
+    UnitRecord,
     compare,
     make_value,
     normalize,
@@ -66,8 +67,8 @@ def test_s_values_match_census_polynomials(torus_pair):
     v112 = s_invariant(torus_pair["1.12"])
     v113 = s_invariant(torus_pair["1.13bar"])
     # raw determinants reproduce the census polynomials on the nose
-    assert v112.original() == S_112
-    assert v113.original() == S_113BAR
+    assert v112.det == S_112
+    assert v113.det == S_113BAR
     # and the stored canonical forms equal the canonicalized census values
     assert v112.element == normalize(S_112)[0]
     assert v113.element == normalize(S_113BAR)[0]
@@ -86,13 +87,13 @@ def test_unknot_and_trefoils():
 
 def test_compare_unit_examples(torus_pair):
     v = s_invariant(torus_pair["1.12"])
-    t3v = make_value("G", v.original().times_unit(1, 3, 0))
+    t3v = make_value("G", v.det * G1.element(t=3))
     res = compare(v, t3v)
     assert res.verdict == EQUIVALENT
     assert (res.unit.sign, res.unit.t_shift, res.unit.p_shift, res.unit.q_power) == (
         1, 3, 0, 0,
     )
-    mpv = make_value("G", v.original().times_unit(-1, 0, 1))
+    mpv = make_value("G", v.det * G1.element(-1, p=1))
     res = compare(v, mpv)
     assert res.verdict == EQUIVALENT
     assert (res.unit.sign, res.unit.t_shift, res.unit.p_shift, res.unit.q_power) == (
@@ -102,7 +103,7 @@ def test_compare_unit_examples(torus_pair):
 
 def test_compare_q_unit(torus_pair):
     v = s_invariant(torus_pair["1.12"])
-    qv = make_value("G", v.original().times_q().times_unit(-1, 2, 0))
+    qv = make_value("G", v.det * G1.element(-1, q=1, t=2))
     res = compare(v, qv)
     assert res.verdict == EQUIVALENT
     assert res.unit.q_power == 1
@@ -120,7 +121,7 @@ def test_compare_zero_only_equivalent_to_zero():
     assert compare(one, zero).verdict == DISTINCT
     # q*(p-t) = 0, so a q-multiple must not let p-t match zero
     p_minus_t = make_value("G", G1.element(p=1) - G1.element(t=1))
-    assert p_minus_t.original().times_q().is_zero
+    assert (p_minus_t.det * G1.element(q=1)).is_zero
     assert compare(p_minus_t, zero).verdict == DISTINCT
     assert compare(zero, p_minus_t).verdict == DISTINCT
 
@@ -130,6 +131,19 @@ def test_compare_ring_mismatch(torus_pair):
     n = nprime_invariant(parse_gauss("v: O1+ O2+ U1+ U2+"))
     with pytest.raises(RingMismatch):
         compare(v, n)
+    # s values of two genera: the message tells the rings apart
+    genus0 = s_invariant(parse_surface("genus 0; c:"))
+    with pytest.raises(RingMismatch, match=r"^QuotientRing\(G, x1, x2\) vs QuotientRing\(G\)$"):
+        compare(v, genus0)
+
+
+def test_verify_rejects_a_wrong_witness(torus_pair):
+    v = s_invariant(torus_pair["1.12"]).det
+    qv = v * G1.element(-1, q=1, t=2)
+    invariant._verify(v, qv, UnitRecord(-1, 2, 0, 1))
+    for wrong in (UnitRecord(1, 2, 0, 1), UnitRecord(-1, 2, 0, 0), UnitRecord(-1, 1, 0, 1), UnitRecord(-1, 2, 1, 1)):
+        with pytest.raises(AssertionError, match="unit witness failed verification"):
+            invariant._verify(v, qv, wrong)
 
 
 def _rand_elem(rng, ring):
@@ -154,7 +168,7 @@ def test_canonicalization_idempotent_and_unit_stable(seed):
     assert w2 == w and (rec2.sign, rec2.t_shift, rec2.p_shift) == (1, 0, 0)
     sign = rng.choice((1, -1))
     a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-    assert normalize(x.times_unit(sign, a, b))[0] == w
+    assert normalize(x * ring.element(sign, t=a, p=b))[0] == w
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,10 +182,7 @@ def test_compare_finds_planted_units(seed):
     sign = rng.choice((1, -1))
     a, b = rng.randint(-2, 2), rng.randint(-2, 2)
     gamma = rng.choice((0, 1))
-    y = x
-    if gamma:
-        y = y.times_q()
-    y = y.times_unit(sign, a, b)
+    y = x * ring.element(sign, q=gamma, t=a, p=b)
     tag = ring.tag
     res = compare(make_value(tag, x), make_value(tag, y))
     if y.is_zero:
@@ -220,7 +231,7 @@ def test_deciding_never_builds_the_canonical_pair(torus_pair, monkeypatch, capsy
     v112, v113 = s_invariant(torus_pair["1.12"]), s_invariant(torus_pair["1.13bar"])
     assert compare(v112, v113).verdict == DISTINCT
     assert compare(v113, v113).verdict == EQUIVALENT
-    res = compare(v112, v112.original().times_q().times_unit(-1, 2, 0))
+    res = compare(v112, make_value("G", v112.det * G1.element(-1, q=1, t=2)))
     assert (res.verdict, res.unit.q_power) == (EQUIVALENT, 1)
     path = str(FIXTURES / "torus_pair.surf")
     assert run(["compare", path, "1.12", "1.13bar"]) == 0
