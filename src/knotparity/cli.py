@@ -13,11 +13,12 @@ Exit codes: 0 success, 1 usage or input error (a closed stdout included),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from .diagram import MAX_GENUS, DiagramError, parse_file
 from .invariant import (
@@ -30,6 +31,42 @@ from .invariant import (
 from .matrix import build_M, build_Npp
 from .parity import chord_data, gaussian_parity, hierarchy_types, parity_map
 from .moves import MAX_CROSSINGS, verify_invariance
+
+
+def _dumps(obj, indent="\n"):
+    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with str keys,
+    lists, tuples, str, int, bool and None; anything else raises TypeError.
+
+    The standard library's C encoder serves only ``indent=None``, so the
+    indented layout is joined here and only the strings go through the C
+    escaper; ``indent`` is the newline and indentation of obj's own line.
+    String leaves, the common case, are escaped in place without a call.
+    """
+    if isinstance(obj, str):
+        return _escape(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            _escape(k) + ": " + (_escape(v) if type(v) is str else _dumps(v, inner))
+            for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_escape(v) if type(v) is str else _dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 def _load(path, lenient):
@@ -47,8 +84,7 @@ def cmd_parity(args):
     payload = []
     for d in _load(args.file, args.lenient):
         cd = chord_data(d)
-        par = gaussian_parity(cd)
-        types = hierarchy_types(d)
+        par, types = gaussian_parity(cd), hierarchy_types(d, cd)
         if args.json:
             payload.append(
                 {
@@ -63,7 +99,7 @@ def cmd_parity(args):
             for c in sorted(cd.counts):
                 print(f"  crossing {c}: interlacement {cd.counts[c]}, {par[c]}, type {types[c]}")
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     return 0
 
 
@@ -87,9 +123,11 @@ def cmd_invariant(args):
     inv = s_invariant if args.type == "s" else nprime_invariant
     payload = []
     for d in _load(args.file, args.lenient):
-        value = inv(d)
         if args.json:
-            par, types = parity_map(d), hierarchy_types(d)
+            # one chord_data for both maps, one of which the invariant takes
+            cd = chord_data(d)
+            par, types = gaussian_parity(cd), hierarchy_types(d, cd)
+            value = inv(d, par if args.type == "s" else types)
             payload.append(
                 {
                     "name": d.name,
@@ -101,11 +139,12 @@ def cmd_invariant(args):
                 }
             )
         else:
+            value = inv(d)
             print(f"{d.name}: {value.render()}")
             if args.dump_matrix:
                 _print_matrix(_matrix_for(d, args.type))
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     return 0
 
 
@@ -114,7 +153,7 @@ def cmd_dump_matrix(args):
         m = _matrix_for(d, args.type)
         if args.json:
             print(
-                json.dumps(
+                _dumps(
                     {
                         "name": d.name,
                         "ring": m.tag,
@@ -123,8 +162,7 @@ def cmd_dump_matrix(args):
                             {"row": str(r), "col": str(c), "value": v}
                             for r, c, v in m.triples()
                         ],
-                    },
-                    indent=2,
+                    }
                 )
             )
         else:
@@ -156,7 +194,7 @@ def cmd_compare(args):
         if res.unit is not None:
             out["unit"] = dataclasses.asdict(res.unit)
             out["expressed"] = res.expressed
-        print(json.dumps(out, indent=2))
+        print(_dumps(out))
     else:
         if res.unit is not None:
             u = res.unit
@@ -172,25 +210,33 @@ def cmd_compare(args):
 
 
 def cmd_verify(args):
-    reports = []
+    """Run the sweeps and print each report; the report file is opened
+    first, so a path that cannot be written fails before any sweep runs."""
     kinds = ["s", "nprime"] if args.invariant == "both" else [args.invariant]
-    for kind in kinds:
-        rep = verify_invariance(
-            seed=args.seed,
-            trials=args.trials,
-            max_crossings=args.max_crossings,
-            genus=args.genus,
-            invariant=kind,
-        )
-        reports.append(rep)
-        print(rep.render())
-    if args.report:
+    with contextlib.ExitStack() as stack:
         try:
-            with open(args.report, "w") as fh:
-                json.dump([r.to_json() for r in reports], fh, indent=2)
+            fh = stack.enter_context(open(args.report, "w")) if args.report else None
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        reports = []
+        for kind in kinds:
+            rep = verify_invariance(
+                seed=args.seed,
+                trials=args.trials,
+                max_crossings=args.max_crossings,
+                genus=args.genus,
+                invariant=kind,
+            )
+            reports.append(rep)
+            print(rep.render())
+        if fh is not None:
+            try:
+                with fh:  # a failed write or flush shows here, not at the stack's exit
+                    fh.write(_dumps([r.to_json() for r in reports]))
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
     return 0 if all(r.ok for r in reports) else 2
 
 

@@ -114,9 +114,8 @@ def normalize(elem):
     representative == sign * t^a * p^b * elem.
     """
     w, alpha, beta = _shifted(elem)
-    terms = w.to_full_poly().terms.items()
-    _, lead = max(terms, key=lambda kv: (sum(kv[0]), kv[0]), default=((), 0))
-    if lead < 0:
+    order = w.to_full_poly().graded()  # the leading term is the first one rendered
+    if order and order[0][3] < 0:
         return -w, UnitRecord(-1, alpha, beta)
     return w, UnitRecord(1, alpha, beta)
 
@@ -125,14 +124,20 @@ def make_value(tag, elem):
     return InvariantValue(tag, elem)
 
 
-def s_invariant(d):
-    """Determinant invariant of a surface diagram."""
-    return make_value("G", build_M(d, parity_map(d)).det())
+def s_invariant(d, par=None):
+    """Determinant invariant of a surface diagram; ``par`` is d's parity
+    map when the caller has built it already."""
+    if par is None:
+        par = parity_map(d)
+    return make_value("G", build_M(d, par).det())
 
 
-def nprime_invariant(d):
-    """Hierarchy invariant of a Gauss diagram."""
-    return make_value("Rprime", build_Npp(d, hierarchy_types(d)).det())
+def nprime_invariant(d, types=None):
+    """Hierarchy invariant of a Gauss diagram; ``types`` are d's hierarchy
+    types when the caller has built them already."""
+    if types is None:
+        types = hierarchy_types(d)
+    return make_value("Rprime", build_Npp(d, types).det())
 
 
 def n_presentation(d):

@@ -84,11 +84,22 @@ class InvariantMatrix:
         return ["\t".join(e.render() for e in row) for row in self.entries]
 
     def triples(self):
+        """(row key, column key, rendered entry) of every nonzero cell, row by row.
+
+        A matrix repeats few distinct entries (the presentation's are a
+        handful of signed role monomials), so each is rendered once, through
+        a memo keyed by its terms that lives for this call only.
+        """
         out = []
+        rendered = {}
         for rk, row in zip(self.row_keys, self.entries):
             for ck, e in zip(self.col_keys, row):
-                if not e.is_zero:
-                    out.append((rk, ck, e.render()))
+                if e._terms:
+                    terms = tuple(e._terms.items())
+                    text = rendered.get(terms)
+                    if text is None:
+                        text = rendered[terms] = e.render()
+                    out.append((rk, ck, text))
         return out
 
     def det(self):

@@ -494,9 +494,10 @@ def verify_invariance(seed, trials, max_crossings, genus=0, invariant="s"):
             if degenerate or _degenerate(d2, invariant, types2):
                 rep.skipped_boundary += 1
                 continue
+            # each invariant takes the map built above instead of a new one
             if value is None:
-                value = inv(d)
-            res = compare(value, inv(d2))
+                value = inv(d, par if invariant == "s" else types)
+            res = compare(value, inv(d2, par2 if invariant == "s" else types2))
             rep.compares += 1
             if res.verdict != EQUIVALENT:
                 rep.counterexamples.append(

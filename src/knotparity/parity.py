@@ -65,14 +65,16 @@ def parity_map(d):
     return gaussian_parity(chord_data(d))
 
 
-def hierarchy_types(d):
+def hierarchy_types(d, cd=None):
     """Crossing -> type in {0, 1, 2}.
 
     Odd crossings get type 0.  With the odd chords deleted, an even crossing
     meets the even chords among its links: an odd number gives type 1, an
-    even number type 2.
+    even number type 2.  ``cd`` is d's ``chord_data`` when the caller has
+    already built it for the parity map.
     """
-    cd = chord_data(d)
+    if cd is None:
+        cd = chord_data(d)
     even = 0
     for c, n in cd.counts.items():
         if n % 2 == 0:

@@ -47,8 +47,10 @@ Q*m + R with deg_p(R) <= 1, and the class of A modulo (1-t)*m is the pair
 
     A_can = (Q at t=1)*m + R.
 
-B, R = r0 + r1*p and Q at t=1 come back from the images by exact division by
-2*(t-1) and by (p-1)^2 (see ``QElement.canonical_pair``).
+B, R = r0 + r1*p and Q at t=1 come back from the images by dividing by
+2*(t-1) and by (p-1)^2 (see ``QElement.canonical_pair``).  Division by a
+linear factor v - 1 is a running sum along v (``LaurentPoly.div_linear``),
+which raises on an inexact input and never rounds.
 
 The quotient rings have zero divisors, but the free Laurent ring and each
 image lie over Z, and are integral domains.  A determinant (see ``det``)
@@ -96,10 +98,13 @@ is what Bareiss forms on each image of it: at most 2*N*E in the free ring
 and in every image.  A product formed before a division multiplies two of
 them, so every intermediate stays within 4*N*E <= 4*T^2 = 1.6e9 < 2^32 =
 EXPONENT_LIMIT, which FIELD_BITS = 34 gives; ``ExponentOverflow`` stays
-the guard at run time.  Keys are unpacked only off the hot paths: in the
-tuple-keyed ``terms`` view (which rendering and ``to_full_poly`` read),
-in ``exponent_range`` and ``subs_one``, and once per divisor in
-``exact_div``; ``from_raw`` reads each exponent it needs off its field.
+the guard at run time.  No hot path of the package unpacks keys into tuples:
+the tuple-keyed ``terms`` view is for callers outside it, such as the
+tests.  ``from_raw``, ``subs_one``, ``div_linear`` and ``exponent_range``
+read each exponent they need off its field, ``exact_div`` reads each
+divisor's fields once, and ``graded`` reads every field of a key once to
+order the terms for ``render``.  ``to_full_poly`` inserts the q field into
+each key by integer arithmetic.
 """
 
 from __future__ import annotations
@@ -352,6 +357,46 @@ class LaurentPoly:
                     rem[key] = old - q * v
         return _poly(self.vars, quot, e + reach)
 
+    def div_linear(self, var, scale=1):
+        """The quotient h with self == scale * (var - 1) * h; raises ValueError if none.
+
+        Along var, with the other exponents fixed, self's coefficients f_e
+        and h's coefficients h_e satisfy f_e = scale * (h_(e-1) - h_e), so
+        from the top down scale * h_(e-1) is the running sum of f over the
+        exponents from e up.  One pass per group of the other exponents
+        sums f in descending order of var's exponent; each partial sum,
+        divided by scale, is h's coefficient at every exponent from one
+        below the term just added down to the group's next exponent (a gap
+        in self is no gap in h).  The division is exact iff every group's
+        total is zero and every partial sum is a multiple of scale, and a
+        group's terms of h are written only once both hold for it.  h's
+        exponents lie in self's range in every variable, so self's bound
+        holds for it.
+        """
+        shifts, _, top = _layout(len(self.vars))
+        shift = shifts[self.vars.index(var)]
+        groups = {}
+        for k, c in self._terms.items():
+            e = (((k + top) >> shift) & _MASK) - _HALF
+            groups.setdefault(k - (e << shift), []).append((e, c))
+        quot = {}
+        for rest, group in groups.items():
+            group.sort(reverse=True)
+            run, runs = 0, []
+            for (e, c), (below, _) in zip(group, group[1:]):
+                run += c
+                if run:
+                    h, r = divmod(run, scale)
+                    if r:
+                        raise ValueError("division is not exact")
+                    runs.append((below, e, h))
+            if run + group[-1][1]:
+                raise ValueError("division is not exact")
+            for below, e, h in runs:
+                for x in range(below, e):
+                    quot[rest + (x << shift)] = h
+        return _poly(self.vars, quot, self._bound)
+
     # -- substitutions
 
     def subs_one(self, var):
@@ -371,36 +416,39 @@ class LaurentPoly:
 
     # -- ordering / rendering
 
-    def sorted_terms(self):
-        """Terms in descending graded-lexicographic order of exponent vectors."""
-        return sorted(
-            self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
-        )
+    def graded(self):
+        """(degree, key, exponent list, coefficient) of every term, in
+        descending graded-lexicographic order: total degree first, then the
+        packed key, whose order is the lex order of the exponent vectors.
+        Each key's fields are read once."""
+        shifts, _, top = _layout(len(self.vars))
+        order = []
+        for k, c in self._terms.items():
+            u = k + top
+            exps = [((u >> s) & _MASK) - _HALF for s in shifts]
+            order.append((sum(exps), k, exps, c))
+        order.sort(reverse=True)
+        return order
 
     def render(self):
+        """The terms in ``graded`` order, as ``c*t^2*x1^-1 - p + 1``."""
         if not self._terms:
             return "0"
+        vars = self.vars
         parts = []
-        for exps, coef in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.vars, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            mag = abs(coef)
-            if factors:
-                body = "*".join(factors)
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            else:
+        for _, _, exps, coef in self.graded():
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(vars, exps) if e]
+            mag = -coef if coef < 0 else coef
+            if not factors:
                 body = str(mag)
-            parts.append(("-" if coef < 0 else "+", body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            elif mag == 1:
+                body = "*".join(factors)
+            else:
+                body = f"{mag}*{'*'.join(factors)}"
+            parts.append((" - " if coef < 0 else " + ") + body)
+        first = parts[0]
+        parts[0] = ("-" if first[1] == "-" else "") + first[3:]
+        return "".join(parts)
 
     def __eq__(self, other):
         return (
@@ -503,6 +551,13 @@ class QuotientRing:
 
 
 @lru_cache(maxsize=None)
+def _p_and_m(vars):
+    """p and m = (p-1)*(p-t) over ``vars``, for ``canonical_pair``; callers only read them."""
+    one, t, p = (LaurentPoly.monomial(vars, 1, **e) for e in ({}, {"t": 1}, {"p": 1}))
+    return p, (p - one) * (p - t)
+
+
+@lru_cache(maxsize=None)
 def _q_power_images(k):
     """(i, coefficient of t^i in (1-t)^k, in (t-1)^k) for i = 0..k: the
     images of q^k under psi3 and psi4."""
@@ -589,20 +644,22 @@ class QElement:
             B      = (psi4 - psi3) / (2*(t-1))
             r1     = (psi3 + psi4 - 2*psi1) / (2*(t-1)),    r0 = psi1 - r1
             Q1     = (psi2 - r0(t=1) - r1(t=1)*p) / (p-1)^2
+
+        Each division is by a linear factor v - 1, a running sum along v
+        (``LaurentPoly.div_linear``); (p-1)^2 is two of them.  A division
+        that is not exact raises ValueError, which four images of one
+        element never cause.
         """
         if self._pair is not None:
             return self._pair
         psi1, psi2, psi3, psi4 = self.parts
-        vars = self.ring.vars
-        one = LaurentPoly.const(vars, 1)
-        t, p = LaurentPoly.monomial(vars, 1, t=1), LaurentPoly.monomial(vars, 1, p=1)
-        two_t_minus_two = (t - one) * LaurentPoly.const(vars, 2)
-        b = (psi4 - psi3).exact_div(two_t_minus_two)
-        r1 = (psi3 + psi4 - psi1 - psi1).exact_div(two_t_minus_two)
+        p, m = _p_and_m(self.ring.vars)
+        b = (psi4 - psi3).div_linear("t", 2)
+        r1 = (psi3 + psi4 - psi1 - psi1).div_linear("t", 2)
         r0 = psi1 - r1
         rest = psi2 - r0.subs_one("t") - r1.subs_one("t") * p
-        q1 = rest.exact_div((p - one) * (p - one))
-        self._pair = (q1 * (p - one) * (p - t) + r0 + r1 * p, b)
+        q1 = rest.div_linear("p").div_linear("p")
+        self._pair = (q1 * m + r0 + r1 * p, b)
         return self._pair
 
     @property
@@ -614,18 +671,25 @@ class QElement:
         return self.canonical_pair()[1]
 
     def to_full_poly(self):
-        """Embed the canonical pair back into the free Laurent ring with explicit q."""
+        """Embed the canonical pair back into the free Laurent ring with explicit q.
+
+        A key over ``vars`` is (t, p) above the packed extras x; over
+        ``full_vars`` the q field sits between them.  So each key splits
+        into x, its low fields read as one signed number, and the rest,
+        which moves up one field, with q^0 for A and q^1 for B.
+        """
         if self._full is not None:
             return self._full
         a, b = self.canonical_pair()
-        full = self.ring.full_vars
-        qi = full.index("q")
+        low = FIELD_BITS * len(self.ring.extras)
+        low_mask, low_top = (1 << low) - 1, _layout(len(self.ring.extras))[2]
         terms = {}
-        for k, v in a.terms.items():
-            terms[k[:qi] + (0,) + k[qi:]] = v
-        for k, v in b.terms.items():
-            terms[k[:qi] + (1,) + k[qi:]] = v
-        self._full = LaurentPoly(full, terms)
+        for part, q in ((a, 0), (b, 1 << low)):
+            for k, c in part._terms.items():
+                x = ((k + low_top) & low_mask) - low_top
+                terms[((k - x) << FIELD_BITS) + q + x] = c
+        bound = max(a._bound, b._bound, 1 if b._terms else 0)
+        self._full = _poly(self.ring.full_vars, terms, bound)
         return self._full
 
     def render(self):
@@ -721,22 +785,21 @@ def _unit_steps(rows, vars):
     shifts, _, top = _layout(len(vars))
     q_shift = shifts[vars.index("q")]
 
-    def unit_columns(row):
-        """The columns of the row's signed monomials free of q, in increasing order."""
-        units = []
-        for j, e in row.items():
-            if len(e._terms) == 1:
-                ((k, c),) = e._terms.items()
-                if abs(c) == 1 and ((k + top) >> q_shift) & _MASK == _HALF:
-                    units.append(j)
-        return sorted(units)
+    def is_unit(e):
+        """Whether e is a signed monomial free of q."""
+        if len(e._terms) != 1:
+            return False
+        ((k, c),) = e._terms.items()
+        return abs(c) == 1 and ((k + top) >> q_shift) & _MASK == _HALF
 
     cols = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
     live_rows, live_cols = list(range(n)), list(range(n))
-    units = [unit_columns(row) for row in rows]
+    # each row's unit columns; a step changes a row only in the pivot column
+    # and the pivot row's columns, so only those are tested again
+    units = [{j for j, e in row.items() if is_unit(e)} for row in rows]
     unit, sign = LaurentPoly.const(vars, 1), 1
     while True:
         best, best_cost = None, n * n
@@ -744,7 +807,9 @@ def _unit_steps(rows, vars):
             r = len(rows[i]) - 1
             for j in units[i]:
                 cost = r * (len(cols[j]) - 1)
-                if cost < best_cost:
+                # the least (cost, row, column): rows come in increasing
+                # order, a row's unit columns in no fixed order
+                if cost < best_cost or cost == best_cost and best[0] == i and j < best[1]:
                     best, best_cost = (i, j), cost
             if best_cost == 0:
                 break  # no later row beats a zero cost
@@ -764,23 +829,28 @@ def _unit_steps(rows, vars):
         inv = _poly(vars, {-uk: uc}, pivot._bound)
         prow = [(j, e * inv) for j, e in prow.items()]
         for i in sorted(cols[pj]):
-            row = rows[i]
+            row, row_units = rows[i], units[i]
             a = row.pop(pj)
+            row_units.discard(pj)
             for j, e in prow:
                 f = row.get(j)
                 if f is None:
-                    row[j] = -(a * e)
+                    f = row[j] = -(a * e)
                     cols[j].add(i)
                 else:
                     f = f - a * e
-                    if f._terms:
-                        row[j] = f
-                    else:
+                    if not f._terms:
                         del row[j]
                         cols[j].discard(i)
+                        row_units.discard(j)
+                        continue
+                    row[j] = f
+                if is_unit(f):
+                    row_units.add(j)
+                else:
+                    row_units.discard(j)
             if not row:
                 return None
-            units[i] = unit_columns(row)
 
 
 def _bareiss_det(rows, vars):

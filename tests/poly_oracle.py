@@ -10,7 +10,9 @@ read the images off packed keys: it sorts the terms by q-degree and
 multiplies each group by 1-t once per power of q.  All of them read and
 build polynomials only through the tuple-keyed ``terms`` view, the
 constructor and (for the ring map) polynomial sum and product, so they share
-no key arithmetic with the code they check.
+no key arithmetic with the code they check.  ``oracle_render`` is the
+printed form as it was built before rendering read packed keys: it sorts the
+exponent tuples by total degree, then lexicographically.
 """
 
 import heapq
@@ -138,3 +140,31 @@ def oracle_from_raw(ring, raw):
         psi3 = psi3 + at_pt
         psi4 = psi4 + (-at_pt if k % 2 else at_pt)
     return QElement(ring, (LaurentPoly(vars, psi1), LaurentPoly(vars, psi2), psi3, psi4))
+
+
+def oracle_render(x):
+    """The terms of x in descending graded-lex order of exponent tuples, as
+    ``c*t^2*x1^-1 - p + 1``."""
+    if x.is_zero:
+        return "0"
+    parts = []
+    for exps, coef in sorted(x.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+        factors = []
+        for name, e in zip(x.vars, exps):
+            if e == 1:
+                factors.append(name)
+            elif e != 0:
+                factors.append(f"{name}^{e}")
+        mag = abs(coef)
+        if factors:
+            body = "*".join(factors)
+            if mag != 1:
+                body = f"{mag}*{body}"
+        else:
+            body = str(mag)
+        parts.append(("-" if coef < 0 else "+", body))
+    sign, body = parts[0]
+    out = ("-" if sign == "-" else "") + body
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out

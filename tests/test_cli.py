@@ -1,10 +1,13 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
-from knotparity.cli import build_parser, run
+import pytest
+
+from knotparity.cli import _dumps, build_parser, run
 from knotparity.diagram import MAX_GENUS, MAX_TOKENS
 from knotparity.moves import MAX_CROSSINGS
 
@@ -148,11 +151,12 @@ def test_verify_report_file(tmp_path, capsys):
 
 
 def test_verify_report_to_unwritable_path_exits_1(tmp_path, capsys):
+    # the report file is opened before the sweep, so none of it runs
     report = tmp_path / "missing" / "r.json"
     assert run(["verify", "--trials", "1", "--max-crossings", "3", "--seed", "1",
                 "--invariant", "s", "--report", str(report)]) == 1
     out = capsys.readouterr()
-    assert "zero counterexamples" in out.out
+    assert out.out == ""
     assert out.err.startswith("error: ") and str(report) in out.err
     assert not report.exists()
 
@@ -249,3 +253,64 @@ def test_consecutive_runs_share_no_parsed_state(capsys):
     assert capsys.readouterr().out.startswith("trefoil (Rraw, ")
     assert run(["invariant", "--type", "s", PAIR]) == 0
     assert capsys.readouterr().out.startswith("1.12: ")
+
+
+def _payload(rng, depth=0):
+    """A random JSON payload of the kinds the commands write."""
+    leaves = (
+        lambda: rng.choice(("", "plain", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f",
+                            "caf\u00e9", "\u2203x \U0001d4b3", "t^-2*x1 - 1")),
+        lambda: rng.choice((0, 1, -1, -7, 12, 2**70, -(2**70))),
+        lambda: rng.choice((True, False, None)),
+    )
+    kind = rng.randrange(5 if depth < 4 else 3)
+    if kind < 3:
+        return leaves[kind]()
+    size = rng.choice((0, 1, 2, 4))
+    if kind == 3:
+        return [_payload(rng, depth + 1) for _ in range(size)]
+    return {leaves[0]() + str(i): _payload(rng, depth + 1) for i in range(size)}
+
+
+def test_dumps_matches_json_dumps():
+    rng = random.Random(2104)
+    for _ in range(500):
+        obj = _payload(rng)
+        assert _dumps(obj) == json.dumps(obj, indent=2)
+    for obj in ([], {}, [[]], {"a": {}}, [{"row": "1", "col": "2", "value": "-t"}], (1, ("x",))):
+        assert _dumps(obj) == json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        _dumps([0.5])
+
+
+def _documents(text):
+    """The JSON documents written one after another in text."""
+    decoder, docs, at = json.JSONDecoder(), [], 0
+    while at < len(text):
+        doc, at = decoder.raw_decode(text, at)
+        docs.append(doc)
+        at += 1  # the newline print writes after each document
+    return docs
+
+
+def test_json_output_keeps_the_indent_2_layout(tmp_path, capsys):
+    # k's presentation has no nonzero entry; unknot's matrices are 0x0
+    small = tmp_path / "small.gauss"
+    small.write_text("k: O1+ U1+\nunknot:\n")
+    commands = [["compare", "--json", PAIR, "1.12", "1.12"], ["compare", "--json", PAIR, "1.12", "1.13bar"],
+                ["compare", "--json", "--type", "nprime", GAUSS, "trefoil", "four1"]]
+    for path in (PAIR, GAUSS, str(small)):
+        commands.append(["parity", "--json", path])
+        commands += [["invariant", "--json", "--type", kind, path] for kind in ("s", "nprime")]
+        commands += [["dump-matrix", "--json", "--type", kind, path] for kind in ("s", "nprime", "presentation")]
+    for argv in commands:
+        assert run(argv) == 0, argv
+        out = capsys.readouterr().out
+        docs = _documents(out)
+        assert docs and out == "".join(json.dumps(doc, indent=2) + "\n" for doc in docs), argv
+    report = tmp_path / "r.json"
+    assert run(["verify", "--trials", "2", "--max-crossings", "3", "--seed", "4",
+                "--report", str(report)]) == 0
+    capsys.readouterr()
+    text = report.read_text()
+    assert text == json.dumps(json.loads(text), indent=2)

@@ -9,6 +9,7 @@ from knotparity.rings import (
     ExponentOverflow,
     LaurentPoly,
     NonSquare,
+    QElement,
     QuotientRing,
     RAW_VARS,
     VariableSetMismatch,
@@ -17,7 +18,7 @@ from knotparity.rings import (
     rprime_ring,
 )
 from det_oracle import cofactor_det
-from poly_oracle import oracle_from_raw
+from poly_oracle import oracle_from_raw, oracle_render
 from rraw_oracle import ReducingRawRing, div_rs_minus_1, r_reduce
 
 
@@ -124,6 +125,80 @@ def test_exact_linear_division():
     for dividend, divisor in ((one, one - t), (t5, p - one), (LaurentPoly.const(vars, 3), two)):
         with pytest.raises(ValueError, match="not exact"):
             dividend.exact_div(divisor)
+
+
+# exponents with gaps between them, negative ones included
+GAPPED = (-9, -4, -1, 0, 2, 7)
+
+
+def rand_gapped(rng, vars, terms=5):
+    return LaurentPoly(
+        vars,
+        {
+            tuple(rng.choice(GAPPED) for _ in vars): rng.choice((-5, -2, -1, 1, 3, 4))
+            for _ in range(rng.randint(1, terms))
+        },
+    )
+
+
+def test_div_linear_matches_exact_div():
+    rng = random.Random(2101)
+    for trial in range(300):
+        vars = ("t", "p") + tuple(f"x{i}" for i in range(1, trial % 4 + 1))
+        var, scale = rng.choice(("t", "p")), rng.choice((1, 2))
+        one, v = LaurentPoly.const(vars, 1), LaurentPoly.monomial(vars, 1, **{var: 1})
+        divisor = LaurentPoly.const(vars, scale) * (v - one)
+        h = rand_gapped(rng, vars)
+        f = divisor * h
+        assert f.div_linear(var, scale) == f.exact_div(divisor) == h
+        # a monomial never vanishes at var = 1, so f plus one is no multiple
+        # of var - 1; (var - 1) times an odd coefficient is none of 2*(var - 1)
+        non_multiples = [f + rand_gapped(rng, vars, 1)]
+        if scale == 2:
+            odd = LaurentPoly.monomial(vars, rng.choice((-3, -1, 1, 5)), **{var: rng.choice(GAPPED)})
+            non_multiples.append(f + (v - one) * odd)
+        for g in non_multiples:
+            for divide in (lambda g: g.div_linear(var, scale), lambda g: g.exact_div(divisor)):
+                with pytest.raises(ValueError, match="not exact"):
+                    divide(g)
+    assert LaurentPoly.zero(("t", "p")).div_linear("p", 2).is_zero
+
+
+def test_canonical_pair_raises_on_images_of_no_element():
+    # psi3 and psi4 of one element differ by a multiple of 2*(t - 1)
+    vars = RP.vars
+    zero, one = LaurentPoly.zero(vars), LaurentPoly.const(vars, 1)
+    t_minus_one = LaurentPoly.monomial(vars, 1, t=1) - one
+    for psi4 in (one, t_minus_one):  # a sum left over; an odd quotient
+        with pytest.raises(ValueError, match="not exact"):
+            QElement(RP, (zero, zero, zero, psi4)).canonical_pair()
+
+
+def test_render_matches_oracle_render():
+    rng = random.Random(2102)
+    exps = (-12, -2, -1, 0, 0, 1, 1, 2, 3, 40)
+    for trial in range(400):
+        vars = ("t", "p", "q", "s", "x1", "x2", "x3")[: rng.randint(1, 7)]
+        terms = {
+            tuple(rng.choice(exps) for _ in vars): rng.choice((-7, -2, -1, 1, 1, 2, 12))
+            for _ in range(rng.randint(0, 6))
+        }
+        x = LaurentPoly(vars, terms)
+        assert x.render() == oracle_render(x)
+    assert LaurentPoly.zero(("t",)).render() == oracle_render(LaurentPoly.zero(("t",))) == "0"
+
+
+@pytest.mark.parametrize("ring", [g_ring(0), RP, G, g_ring(2)], ids=repr)
+def test_to_full_poly_matches_tuple_embedding(ring):
+    # the embedding as written before it read packed keys: q's exponent is
+    # spliced into each tuple of A (q^0) and B (q^1) after t and p
+    rng = random.Random(2103)
+    for _ in range(60):
+        elem = rand_elem(rng, ring, 6)
+        a, b = elem.canonical_pair()
+        terms = {k[:2] + (0,) + k[2:]: c for k, c in a.terms.items()}
+        terms.update({k[:2] + (1,) + k[2:]: c for k, c in b.terms.items()})
+        assert elem.to_full_poly() == LaurentPoly(ring.full_vars, terms)
 
 
 # --- quotient rings ----------------------------------------------------------
@@ -263,6 +338,11 @@ def naive_fixpoint_pair(ring, raw):
     return LaurentPoly(av, a), LaurentPoly(av, b)
 
 
+def graded_lead(poly):
+    """(exponent tuple, coefficient) of the graded-lex leading term of a nonzero poly."""
+    return max(poly.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+
 def divides_exactly(divisor, dividend):
     """Exact-division test of Laurent polynomials over the same variables.
 
@@ -274,7 +354,7 @@ def divides_exactly(divisor, dividend):
         return True
     if divisor.is_zero:
         return False
-    lead_exp, lead_coef = divisor.sorted_terms()[0]
+    lead_exp, lead_coef = graded_lead(divisor)
     if lead_coef not in (1, -1):
         raise ValueError("divisor must have unit leading coefficient")
     # over an integral domain the exponent range of h in each variable is
@@ -287,7 +367,7 @@ def divides_exactly(divisor, dividend):
         box.append((f_lo - d_lo, f_hi - d_hi))
     rem = dividend
     while not rem.is_zero:
-        top_exp, top_coef = rem.sorted_terms()[0]
+        top_exp, top_coef = graded_lead(rem)
         delta = [e - l for e, l in zip(top_exp, lead_exp)]
         if any(not lo <= d <= hi for d, (lo, hi) in zip(delta, box)):
             return False
