@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from knotparity.diagram import parse_file
 from knotparity.invariant import compare, s_invariant
 from knotparity.matrix import build_M
-from knotparity.parity import chord_data, gaussian_parity
+from knotparity.parity import parity_map
 
 
 def main():
@@ -22,10 +22,9 @@ def main():
     values = {}
     for d in diagrams:
         print(f"== {d.name}: {d.serialize()}")
-        cd = chord_data(d)
-        par = gaussian_parity(cd)
-        for c in sorted(cd.counts):
-            print(f"   crossing {c}: interlacement {cd.counts[c]} -> {par[c]}")
+        par, counts = parity_map(d), d.chords.counts
+        for c in sorted(counts):
+            print(f"   crossing {c}: interlacement {counts[c]} -> {par[c]}")
         m = build_M(d, par)
         print(f"   matrix ({m.shape[0]}x{m.shape[1]}):")
         for line in m.render_rows():

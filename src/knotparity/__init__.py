@@ -22,7 +22,7 @@ from .invariant import (
 )
 from .matrix import InvariantMatrix, build_M, build_N_presentation, build_Npp
 from .moves import MoveInstance, applicable, apply, random_diagram, verify_invariance
-from .parity import chord_data, gaussian_parity, hierarchy_types, parity_map
+from .parity import hierarchy_types, parity_map
 from .rings import (
     LaurentPoly,
     QuotientRing,
@@ -56,8 +56,6 @@ __all__ = [
     "apply",
     "random_diagram",
     "verify_invariance",
-    "chord_data",
-    "gaussian_parity",
     "hierarchy_types",
     "parity_map",
     "LaurentPoly",

@@ -29,7 +29,7 @@ from .invariant import (
     s_invariant,
 )
 from .matrix import build_M, build_Npp
-from .parity import chord_data, gaussian_parity, hierarchy_types, parity_map
+from .parity import hierarchy_types, parity_map
 from .moves import MAX_CROSSINGS, verify_invariance
 
 
@@ -83,21 +83,21 @@ def _load(path, lenient):
 def cmd_parity(args):
     payload = []
     for d in _load(args.file, args.lenient):
-        cd = chord_data(d)
-        par, types = gaussian_parity(cd), hierarchy_types(d, cd)
+        par, types = parity_map(d), hierarchy_types(d)
+        counts = d.chords.counts
         if args.json:
             payload.append(
                 {
                     "name": d.name,
-                    "interlacement": {str(c): cd.counts[c] for c in sorted(cd.counts)},
+                    "interlacement": {str(c): counts[c] for c in sorted(counts)},
                     "parity": {str(c): par[c] for c in sorted(par)},
                     "types": {str(c): types[c] for c in sorted(types)},
                 }
             )
         else:
             print(d.name)
-            for c in sorted(cd.counts):
-                print(f"  crossing {c}: interlacement {cd.counts[c]}, {par[c]}, type {types[c]}")
+            for c in sorted(counts):
+                print(f"  crossing {c}: interlacement {counts[c]}, {par[c]}, type {types[c]}")
     if args.json:
         print(_dumps(payload))
     return 0
@@ -120,14 +120,15 @@ def _print_matrix(m):
 
 
 def cmd_invariant(args):
+    if args.json and args.dump_matrix:
+        print("error: invariant --json prints no matrix; use dump-matrix --json", file=sys.stderr)
+        return 1
     inv = s_invariant if args.type == "s" else nprime_invariant
     payload = []
     for d in _load(args.file, args.lenient):
+        value = inv(d)
         if args.json:
-            # one chord_data for both maps, one of which the invariant takes
-            cd = chord_data(d)
-            par, types = gaussian_parity(cd), hierarchy_types(d, cd)
-            value = inv(d, par if args.type == "s" else types)
+            par, types = parity_map(d), hierarchy_types(d)
             payload.append(
                 {
                     "name": d.name,
@@ -139,7 +140,6 @@ def cmd_invariant(args):
                 }
             )
         else:
-            value = inv(d)
             print(f"{d.name}: {value.render()}")
             if args.dump_matrix:
                 _print_matrix(_matrix_for(d, args.type))

@@ -25,6 +25,20 @@ tokens (the surface matrix); ``short_arcs`` stops at under-passages of
 type-1/2 crossings and counts the s-exponent gained at type-0 crossings in a
 one-entry label (the virtual matrix); the presentation matrix also stops at
 type-0 over-passages.
+
+Each diagram also holds its chord data, ``Diagram.chords``, made by one pass
+over the passages on first use and kept on the diagram object.  The chord
+diagram of a code places the two passages of each crossing on a circle and
+joins them by a chord; ``parity`` reads parity and crossing types off it.
+Sets of crossings are int bit sets.  Bit i stands for the i-th crossing in
+order of first appearance, never for its id, which may be any int.  Two
+chords interleave exactly when one has one passage strictly between the
+passages of the other.  Let prefix be the XOR of the bits of the passages
+read so far: a crossing read twice drops out of it, one read once stays in.
+So with P1 the prefix just after the first passage of c and P2 the prefix
+just before its second, P1 ^ P2 is the set of crossings with exactly one
+passage between the two -- the chords interleaving c, its link set, whose
+size is the interlacement count.
 """
 
 from __future__ import annotations
@@ -32,6 +46,7 @@ from __future__ import annotations
 import codecs
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class DiagramError(ValueError):
@@ -117,6 +132,16 @@ class Vertex:
         return f"v{self.vid}"
 
 
+@dataclass(frozen=True)
+class ChordData:
+    """Per crossing, in order of first appearance: its bit, its link set (the
+    bit set of the chords interleaving it) and its interlacement count."""
+
+    bits: dict            # crossing -> its bit
+    links: dict           # crossing -> bit set of the interleaving chords
+    counts: dict          # crossing -> number of interleaving chords
+
+
 # ASCII digits only: int() also reads other scripts' digits, which would not
 # survive serialization
 _TOKEN_RE = re.compile(r"^(?:([OUx])([0-9]+)([+-])|v([0-9]+))$")
@@ -167,6 +192,24 @@ class Diagram:
     def sign_of(self, crossing):
         return self._signs[crossing]
 
+    @cached_property
+    def chords(self):
+        """Interlacement data (side tokens and vertices ignored), from one
+        pass made on first use; kept in the instance dict, so equality,
+        hashing and ``repr`` still see only the fields."""
+        bits, links = {}, {}
+        prefix = 0
+        for tok in self.tokens:
+            if isinstance(tok, Passage):
+                c = tok.crossing
+                if c in bits:
+                    links[c] ^= prefix  # P1 ^ P2
+                else:
+                    bits[c] = 1 << len(bits)
+                    links[c] = prefix ^ bits[c]  # P1
+                prefix ^= bits[c]
+        return ChordData(bits, links, {c: s.bit_count() for c, s in links.items()})
+
     def rotated(self, k):
         """Basepoint moved k tokens forward."""
         n = len(self.tokens)
@@ -174,22 +217,6 @@ class Diagram:
             return self
         k %= n
         return Diagram(self.name, self.genus, self.tokens[k:] + self.tokens[:k])
-
-    def renumbered(self, mapping):
-        """Relabel crossing ids through the given dict."""
-        toks = tuple(
-            Passage(mapping[t.crossing], t.over, t.sign) if isinstance(t, Passage) else t
-            for t in self.tokens
-        )
-        return Diagram(self.name, self.genus, toks)
-
-    def homology_class(self):
-        """Total signed side crossings, one entry per side 1..2g."""
-        vec = [0] * (2 * self.genus)
-        for tok in self.tokens:
-            if isinstance(tok, SideToken):
-                vec[tok.side - 1] += tok.sign
-        return tuple(vec)
 
     def serialize(self):
         body = " ".join(tok.text() for tok in self.tokens)

@@ -76,10 +76,6 @@ class InvariantValue:
         """The unit with element == sign * t^a * p^b * det."""
         return self._normal[1]
 
-    @property
-    def is_zero(self):
-        return self.det.is_zero
-
     def render(self):
         return self.element.render()
 
@@ -124,20 +120,14 @@ def make_value(tag, elem):
     return InvariantValue(tag, elem)
 
 
-def s_invariant(d, par=None):
-    """Determinant invariant of a surface diagram; ``par`` is d's parity
-    map when the caller has built it already."""
-    if par is None:
-        par = parity_map(d)
-    return make_value("G", build_M(d, par).det())
+def s_invariant(d):
+    """Determinant invariant of a surface diagram."""
+    return make_value("G", build_M(d, parity_map(d)).det())
 
 
-def nprime_invariant(d, types=None):
-    """Hierarchy invariant of a Gauss diagram; ``types`` are d's hierarchy
-    types when the caller has built them already."""
-    if types is None:
-        types = hierarchy_types(d)
-    return make_value("Rprime", build_Npp(d, types).det())
+def nprime_invariant(d):
+    """Hierarchy invariant of a Gauss diagram."""
+    return make_value("Rprime", build_Npp(d, hierarchy_types(d)).det())
 
 
 def n_presentation(d):

@@ -345,9 +345,10 @@ def random_diagram(rng, crossings, genus=0, name="rnd"):
 # Axiom checks and the verification harness
 
 
-def _axiom_problems(before, after, move, par_b, ty_b, par_a, ty_a):
-    """Axiom violations of one move; par_b, ty_b and par_a, ty_a are the
-    parity maps and hierarchy types of ``before`` and ``after``."""
+def _axiom_problems(before, after, move):
+    """Axiom violations of one move."""
+    par_b, ty_b = parity_map(before), hierarchy_types(before)
+    par_a, ty_a = parity_map(after), hierarchy_types(after)
     problems = []
     common = set(par_b) & set(par_a)
     kind = move.kind
@@ -442,13 +443,12 @@ class VerifyReport:
         }
 
 
-def _degenerate(d, invariant, types):
+def _degenerate(d, invariant):
     """True when the diagram's matrix is 0x0, i.e. its invariant is the
-    empty determinant and the invariance statement does not apply;
-    ``types`` are the diagram's hierarchy types."""
+    empty determinant and the invariance statement does not apply."""
     if invariant == "s":
         return not d.crossings and not d.vertex_ids
-    return all(v == 0 for v in types.values())
+    return all(v == 0 for v in hierarchy_types(d).values())
 
 
 def verify_invariance(seed, trials, max_crossings, genus=0, invariant="s"):
@@ -480,24 +480,21 @@ def verify_invariance(seed, trials, max_crossings, genus=0, invariant="s"):
         if invariant == "nprime":
             moves = [m for m in moves if m.kind not in ("SidePass", "Subdivide")]
         value = None
-        par, types = parity_map(d), hierarchy_types(d)
-        degenerate = _degenerate(d, invariant, types)
+        degenerate = _degenerate(d, invariant)
         for mv in moves:
             d2 = apply(d, mv)
             rep.moves_checked += 1
             rep.by_kind[mv.kind] = rep.by_kind.get(mv.kind, 0) + 1
-            par2, types2 = parity_map(d2), hierarchy_types(d2)
-            for prob in _axiom_problems(d, d2, mv, par, types, par2, types2):
+            for prob in _axiom_problems(d, d2, mv):
                 rep.counterexamples.append(
                     (trial, d.serialize(), mv.describe(), "axiom", prob)
                 )
-            if degenerate or _degenerate(d2, invariant, types2):
+            if degenerate or _degenerate(d2, invariant):
                 rep.skipped_boundary += 1
                 continue
-            # each invariant takes the map built above instead of a new one
             if value is None:
-                value = inv(d, par if invariant == "s" else types)
-            res = compare(value, inv(d2, par2 if invariant == "s" else types2))
+                value = inv(d)
+            res = compare(value, inv(d2))
             rep.compares += 1
             if res.verdict != EQUIVALENT:
                 rep.counterexamples.append(

@@ -490,9 +490,6 @@ class QuotientRing:
     def zero(self):
         return QElement(self, (LaurentPoly.zero(self.vars),) * 4)
 
-    def one(self):
-        return QElement(self, (LaurentPoly.const(self.vars, 1),) * 4)
-
     @lru_cache
     def element(self, coef=1, q=0, **exps):
         """Monomial element coef * t^.. p^.. q^q * extras^.., through ``from_raw``.

@@ -43,8 +43,8 @@ def berkowitz_det(rows, ring):
     """
     n = _check_square(rows)
     if n == 0:
-        return ring.one()
-    zero, one = ring.zero(), ring.one()
+        return ring.element()
+    zero, one = ring.zero(), ring.element()
 
     def dot(u, v):
         acc = zero
@@ -84,7 +84,7 @@ def cofactor_det(rows, ring):
     """Naive Laplace expansion along the first row."""
     n = _check_square(rows)
     if n == 0:
-        return ring.one()
+        return ring.element()
     if n == 1:
         return rows[0][0]
     acc = ring.zero()
@@ -144,7 +144,7 @@ def per_image_det(rows, ring):
     Laurent ring by ``bareiss_loop``.  The 0x0 determinant is the ring one.
     """
     if not _check_square(rows):
-        return ring.one()
+        return ring.element()
     return QElement(
         ring,
         tuple(

@@ -7,7 +7,7 @@ import importlib.util
 import pathlib
 
 from knotparity import cli, rings
-from knotparity.diagram import parse_file
+from knotparity.diagram import Diagram, parse_file
 from knotparity.matrix import build_M, build_Npp
 from knotparity.parity import hierarchy_types, parity_map
 
@@ -64,3 +64,24 @@ def test_invariant_json_records_normalize_and_det_spans(capsys):
         if name == "invariant.normalize" and (parent < 0 or names[parent] != "invariant.entry")
     ]
     assert printed, names
+
+
+def test_invariant_json_charges_the_chord_pass_to_parity(capsys, monkeypatch):
+    """Each diagram's chord pass runs inside a ``parity.parity`` span, so a
+    traced run charges it to the parity layer, not to the CLI's self time."""
+    fixture = str(ROOT / "fixtures" / "torus_pair.surf")
+    tracer = _load_spans().Tracer()
+    enclosing = []
+    original = Diagram.chords.func
+
+    def recorded(d):
+        # the innermost span still open, whose end is not yet written
+        open_spans = [name for name, _, end, _ in tracer.spans if end == 0.0]
+        enclosing.append(open_spans[-1] if open_spans else None)
+        return original(d)
+
+    monkeypatch.setattr(Diagram.chords, "func", recorded)
+    with tracer.installed():
+        assert cli.run(["invariant", "--type", "s", "--json", fixture]) == 0
+    capsys.readouterr()
+    assert enclosing == ["parity.parity", "parity.parity"]

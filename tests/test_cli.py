@@ -133,6 +133,20 @@ def test_dump_matrix(capsys):
         assert "entries" in block
 
 
+def test_invariant_json_refuses_dump_matrix(capsys):
+    """``--json`` has no matrix in its schema, so the combination is an input
+    error that names the command which does print one."""
+    for kind in ("s", "nprime"):
+        assert run(["invariant", "--type", kind, "--json", "--dump-matrix", PAIR]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "dump-matrix --json" in captured.err
+    # each flag alone still works
+    assert run(["invariant", "--type", "s", "--dump-matrix", PAIR]) == 0
+    assert "1.12: " in capsys.readouterr().out
+
+
 def test_verify_cli(capsys):
     assert run(["verify", "--trials", "5", "--max-crossings", "4", "--seed", "7",
                 "--invariant", "both"]) == 0

@@ -283,7 +283,7 @@ def test_free_ring_det_matches_per_image_on_large_diagrams():
 def test_q_is_never_a_pivot():
     # taking q as a pivot would need q^-1, which from_raw rejects
     for ring in RINGS:
-        q, one = ring.element(q=1), ring.one()
+        q, one = ring.element(q=1), ring.element()
         assert det(full_rows([[q]]), ring) == per_image_det([[q]], ring) == q
         rows = [[q, one], [one, q]]
         assert det(full_rows(rows), ring) == per_image_det(rows, ring) == q * q - one

@@ -1,18 +1,14 @@
+import dataclasses
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotparity.diagram import Passage, parse_file, parse_gauss, Diagram
-from knotparity.moves import MoveInstance, apply, random_diagram
-from knotparity.parity import (
-    EVEN,
-    ODD,
-    chord_data,
-    gaussian_parity,
-    hierarchy_types,
-    parity_map,
-)
+from knotparity.diagram import Passage, parse_file, parse_gauss, parse_line, Diagram
+from knotparity.invariant import nprime_invariant, s_invariant
+from knotparity.moves import MoveInstance, apply, random_diagram, verify_invariance
+from knotparity.parity import EVEN, ODD, hierarchy_types, parity_map
+from test_diagram import renumbered
 
 import pathlib
 
@@ -78,7 +74,7 @@ def _sweep_diagrams(seed, count):
 
 def _assert_matches_pairwise_oracle(d):
     inter, counts, types = pairwise_oracle(d)
-    cd = chord_data(d)
+    cd = d.chords
     assert cd.counts == counts
     assert {(c, o): bool(cd.links[c] & cd.bits[o]) for c, o in inter} == inter
     assert parity_map(d) == {c: ODD if n % 2 else EVEN for c, n in counts.items()}
@@ -104,29 +100,29 @@ def test_bit_sets_match_pairwise_oracle_under_any_ids():
         ids = rng.sample(range(-3 * n, 0), n // 3) + rng.sample(range(10**9 - 5 * n, 10**9 + 5 * n), n - n // 3)
         rng.shuffle(ids)
         mapping = dict(zip(d.crossings, ids))
-        rn = d.renumbered(mapping)
+        rn = renumbered(d, mapping)
         types = _assert_matches_pairwise_oracle(rn)
         assert types == {mapping[c]: t for c, t in hierarchy_types(d).items()}
 
 
 def test_virtual_trefoil_counts():
     d = parse_gauss("vtrefoil: O1+ O2+ U1+ U2+")
-    cd = chord_data(d)
+    cd = d.chords
     assert cd.counts == {1: 1, 2: 1}
     assert cd.links[1] & cd.bits[2] and cd.links[2] & cd.bits[1]
-    assert gaussian_parity(cd) == {1: ODD, 2: ODD}
+    assert parity_map(d) == {1: ODD, 2: ODD}
 
 
 def test_classical_trefoil_counts_match_oracle():
     d = parse_gauss("trefoil: O1- U2- O3- U1- O2- U3-")
-    cd = chord_data(d)
+    cd = d.chords
     assert cd.counts == brute_interleave_counts(d) == {1: 2, 2: 2, 3: 2}
-    assert set(gaussian_parity(cd).values()) == {EVEN}
+    assert set(parity_map(d).values()) == {EVEN}
 
 
 def test_single_crossing_loop():
     d = parse_gauss("kink: O1+ U1+")
-    assert chord_data(d).counts == {1: 0}
+    assert d.chords.counts == {1: 0}
 
 
 def test_torus_pair_all_even():
@@ -181,7 +177,7 @@ def test_parity_independent_of_basepoint_and_numbering(seed, n, genus):
         assert hierarchy_types(r) == base_ty
     ids = d.crossings
     mapping = {c: 100 + c for c in ids}
-    rn = d.renumbered(mapping)
+    rn = renumbered(d, mapping)
     assert parity_map(rn) == {mapping[c]: v for c, v in base_par.items()}
     assert hierarchy_types(rn) == {mapping[c]: v for c, v in base_ty.items()}
 
@@ -191,7 +187,7 @@ def test_parity_independent_of_basepoint_and_numbering(seed, n, genus):
 def test_total_interlacement_even(seed, n):
     rng = random.Random(seed)
     d = random_diagram(rng, n, 0)
-    assert sum(chord_data(d).counts.values()) % 2 == 0
+    assert sum(d.chords.counts.values()) % 2 == 0
 
 
 def test_type_zero_iff_odd():
@@ -201,3 +197,44 @@ def test_type_zero_iff_odd():
         par, ty = parity_map(d), hierarchy_types(d)
         for c in d.crossings:
             assert (ty[c] == 0) == (par[c] == ODD)
+
+
+def _record_chord_passes(monkeypatch):
+    """The diagram objects whose chord pass runs from here on, in order."""
+    passes = []
+    original = Diagram.chords.func
+
+    def recorded(d):
+        passes.append(d)
+        return original(d)
+
+    monkeypatch.setattr(Diagram.chords, "func", recorded)
+    return passes
+
+
+def test_one_chord_pass_per_diagram_object(monkeypatch):
+    passes = _record_chord_passes(monkeypatch)
+    d = parse_gauss("t: O1- U2- O3- U1- O2- U3-")
+    for read in (parity_map, hierarchy_types, s_invariant, nprime_invariant, parity_map):
+        read(d)
+    assert len(passes) == 1 and passes[0] is d
+    # a trial diagram serves every move of its trial with one pass, and each
+    # one-move neighbour is a new object with a pass of its own
+    for kind, genus in (("s", 2), ("nprime", 0)):
+        passes.clear()
+        rep = verify_invariance(seed=3, trials=8, max_crossings=5, genus=genus, invariant=kind)
+        assert rep.compares
+        assert len({id(x) for x in passes}) == len(passes) == rep.trials + rep.moves_checked
+
+
+def test_chord_cache_is_invisible():
+    assert [f.name for f in dataclasses.fields(Diagram)] == ["name", "genus", "tokens"]
+    text = "genus 1; k: O1+ x1+ O2- U1+ x1- U2-"
+    a, b = parse_line(text), parse_line(text)
+    seen = (hash(a), repr(a))
+    assert a.chords.counts == {1: 1, 2: 1}
+    assert "chords" in vars(a) and "chords" not in vars(b)
+    assert a == b and b == a
+    assert hash(a) == hash(b) == seen[0]
+    assert repr(a) == repr(b) == seen[1]
+    assert {a: 1}[b] == 1
