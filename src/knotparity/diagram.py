@@ -29,7 +29,8 @@ type-0 over-passages.
 Each diagram also holds its chord data, ``Diagram.chords``, made by one pass
 over the passages on first use and kept on the diagram object.  The chord
 diagram of a code places the two passages of each crossing on a circle and
-joins them by a chord; ``parity`` reads parity and crossing types off it.
+joins them by a chord.  ``Diagram.parity`` and ``Diagram.types`` read the
+Gaussian parity and the crossing types off it, each once per object too.
 Sets of crossings are int bit sets.  Bit i stands for the i-th crossing in
 order of first appearance, never for its id, which may be any int.  Two
 chords interleave exactly when one has one passage strictly between the
@@ -47,6 +48,7 @@ import codecs
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class DiagramError(ValueError):
@@ -132,6 +134,10 @@ class Vertex:
         return f"v{self.vid}"
 
 
+EVEN = "even"
+ODD = "odd"
+
+
 @dataclass(frozen=True)
 class ChordData:
     """Per crossing, in order of first appearance: its bit, its link set (the
@@ -209,6 +215,34 @@ class Diagram:
                     links[c] = prefix ^ bits[c]  # P1
                 prefix ^= bits[c]
         return ChordData(bits, links, {c: s.bit_count() for c, s in links.items()})
+
+    @cached_property
+    def parity(self):
+        """Crossing -> EVEN or ODD, by the parity of its interlacement count.
+
+        Like ``chords``, built on first use and kept on the object, so every
+        caller shares the one map and must not change it."""
+        return {c: (EVEN if n % 2 == 0 else ODD) for c, n in self.chords.counts.items()}
+
+    @cached_property
+    def types(self):
+        """Crossing -> hierarchy type in {0, 1, 2}; shared like ``parity``.
+
+        Odd crossings get type 0.  With the odd chords deleted, an even
+        crossing meets the even chords among its links: an odd number gives
+        type 1, an even number type 2.  Deleting the odd chords intersects
+        every link set with the bit set of the even crossings, so each even
+        crossing's type is the parity of one masked link set, with no second
+        pass."""
+        cd = self.chords
+        even = 0
+        for c, n in cd.counts.items():
+            if n % 2 == 0:
+                even |= cd.bits[c]
+        return {
+            c: 0 if n % 2 else 1 if (cd.links[c] & even).bit_count() % 2 else 2
+            for c, n in cd.counts.items()
+        }
 
     def rotated(self, k):
         """Basepoint moved k tokens forward."""
@@ -324,16 +358,14 @@ def parse_file(path, lenient=False):
 # Arc extraction
 
 
-@dataclass(frozen=True)
-class Incidence:
+class Incidence(NamedTuple):
     site: int            # crossing id, or vertex id for subdivision vertices
     site_kind: str       # "crossing" | "vertex" ("u" | "o" in the presentation walk)
     role: str            # "out" | "in" | "over"
     label: tuple         # label exponents accumulated since the arc's origin
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     origin: int
     origin_kind: str
     incidences: tuple

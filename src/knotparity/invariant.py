@@ -27,7 +27,9 @@ is determined, because a nonzero element never equals its negative (the
 images lie in Laurent rings over Z).  ``normalize``, for printing only,
 fixes that sign too, by making the leading coefficient of the rendered form
 positive in the fixed monomial order; this needs the canonical pair, so
-``InvariantValue`` computes it on first use and caches it.
+``InvariantValue`` computes it on first use and caches it.  The terms are
+sorted into that order once per printed value: the representative keeps the
+order ``normalize`` read (``QElement.graded``), and ``render`` prints in it.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def normalize(elem):
     representative == sign * t^a * p^b * elem.
     """
     w, alpha, beta = _shifted(elem)
-    order = w.to_full_poly().graded()  # the leading term is the first one rendered
+    order = w.graded()  # the leading term is the first one rendered; -w keeps the order
     if order and order[0][3] < 0:
         return -w, UnitRecord(-1, alpha, beta)
     return w, UnitRecord(1, alpha, beta)

@@ -58,11 +58,20 @@ starts over the free ring on ``full_vars`` with plain Gaussian steps on
 pivots that are signed monomials free of q, such as -1, t or -p*x1^-2
 (every crossing row of the invariant matrices holds one).  Those are units
 of the free ring and of all four images, and the steps need no division at
-all, so they run once for the four images.  Only their product and the
-Schur complement they leave go through ``from_raw``.  Each image of that
-complement is then finished by ``_bareiss_det``, textbook fraction-free
-Bareiss elimination, whose every division is exact.  q itself is never a
-pivot: it has no inverse in the quotient.
+all, so they run once for the four images.  Their product u is a signed
+monomial, folded into the first row of the Schur complement they leave;
+only that complement goes through ``from_raw``.  Each image of it is then
+finished by ``_bareiss_det``, textbook fraction-free Bareiss elimination,
+whose every division is exact.  q itself is never a pivot: it has no
+inverse in the quotient.
+
+One kernel, ``_addmul``, does every multiply-accumulate r += sign*a*b on
+packed term dicts: products (r empty) and the row updates of both
+eliminations, each in one dict with no throwaway polynomial; a sum or a
+difference is one pass over the second operand's terms.  Most products on
+the determinant path have a one-term factor (a role coefficient times a
+label monomial, a unit pivot or its inverse, the folded u), and such a
+product is a key shift.
 
 Packed exponents (after Monagan and Pearce, "Parallel sparse polynomial
 multiplication using heaps", 2009).  A ``LaurentPoly`` over n variables keys
@@ -95,10 +104,12 @@ t and p no higher.  An entry left by the free-ring unit steps is a minor
 of the matrix divided by a monomial minor (the product of the unit pivots
 so far), and so is every minor of the Schur complement they leave, which
 is what Bareiss forms on each image of it: at most 2*N*E in the free ring
-and in every image.  A product formed before a division multiplies two of
-them, so every intermediate stays within 4*N*E <= 4*T^2 = 1.6e9 < 2^32 =
-EXPONENT_LIMIT, which FIELD_BITS = 34 gives; ``ExponentOverflow`` stays
-the guard at run time.  No hot path of the package unpacks keys into tuples:
+and in every image.  Folding u into the first row turns the minors through
+that row into u times minors of the complement, which are minors of the
+matrix itself, at most N*E.  A product formed before a division multiplies
+two of them, so every intermediate stays within 4*N*E <= 4*T^2 = 1.6e9 <
+2^32 = EXPONENT_LIMIT, which FIELD_BITS = 34 gives; ``ExponentOverflow``
+stays the guard at run time.  No hot path of the package unpacks keys into tuples:
 the tuple-keyed ``terms`` view is for callers outside it, such as the
 tests.  ``from_raw``, ``subs_one``, ``div_linear`` and ``exponent_range``
 read each exponent they need off its field, ``exact_div`` reads each
@@ -178,6 +189,38 @@ def _poly(vars, packed, bound):
     poly = object.__new__(LaurentPoly)
     poly.vars, poly._terms, poly._bound, poly._div = vars, packed, bound, None
     return poly
+
+
+def _addmul(r, a, b, sign=1):
+    """r + sign*a*b on packed term dicts: r is updated in place and returned.
+
+    This is the one multiply-accumulate of the package: products (r empty)
+    and the row updates of both eliminations in ``det`` go through it.  A
+    term of r that cancels is deleted at once: a sum of two nonzero ints is
+    zero only when the key was already in r.  When r is empty and one factor
+    is a monomial the product is a key shift, returned as a new dict:
+    distinct keys stay distinct and a product of nonzero ints is nonzero, so
+    nothing is tested.  Keys stay exact because every operand keeps its
+    exponents below EXPONENT_LIMIT; the caller gives the result its bound
+    through ``_poly``.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1 and not r:
+        ((ka, va),) = a.items()
+        va *= sign
+        return {ka + kb: va * vb for kb, vb in b.items()}
+    get = r.get
+    for ka, va in a.items():
+        va *= sign
+        for kb, vb in b.items():
+            k = ka + kb
+            v = get(k, 0) + va * vb
+            if v:
+                r[k] = v
+            else:
+                del r[k]
+    return r
 
 
 class LaurentPoly:
@@ -265,38 +308,33 @@ class LaurentPoly:
         if self.vars != other.vars:
             raise VariableSetMismatch(f"{self.vars} vs {other.vars}")
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign*other, in one pass over other's terms."""
         self._check(other)
         r = dict(self._terms)
+        get = r.get
         for k, v in other._terms.items():
-            nv = r.get(k, 0) + v
+            nv = get(k, 0) + sign * v
             if nv:
                 r[k] = nv
-            elif k in r:
-                del r[k]
+            else:
+                del r[k]  # a zero sum means k held -sign*v
         return _poly(self.vars, r, max(self._bound, other._bound))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __neg__(self):
         return _poly(self.vars, {k: -v for k, v in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         self._check(other)
-        a, b = self._terms, other._terms
-        if not a or not b:
+        if not self._terms or not other._terms:
             return LaurentPoly(self.vars)
-        bound = self._bound + other._bound
-        if len(a) > len(b):
-            a, b = b, a
-        r = {}
-        get = r.get
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = k1 + k2
-                r[k] = get(k, 0) + v1 * v2
-        return _poly(self.vars, {k: v for k, v in r.items() if v}, bound)
+        return _poly(self.vars, _addmul({}, self._terms, other._terms), self._bound + other._bound)
 
     def exact_div(self, divisor):
         """The quotient h with self == h * divisor; raises ValueError if none.
@@ -430,13 +468,14 @@ class LaurentPoly:
         order.sort(reverse=True)
         return order
 
-    def render(self):
-        """The terms in ``graded`` order, as ``c*t^2*x1^-1 - p + 1``."""
+    def render(self, order=None):
+        """The terms in ``graded`` order, as ``c*t^2*x1^-1 - p + 1``; ``order``
+        is that order when the caller has read it already."""
         if not self._terms:
             return "0"
         vars = self.vars
         parts = []
-        for _, _, exps, coef in self.graded():
+        for _, _, exps, coef in self.graded() if order is None else order:
             factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(vars, exps) if e]
             mag = -coef if coef < 0 else coef
             if not factors:
@@ -587,17 +626,20 @@ class QElement:
     act per component, and a unit multiple is the product with the unit's
     ``QuotientRing.element``.  The canonical pair (A, B) that ``render``
     prints is rebuilt from the parts by ``canonical_pair`` the first time it
-    is asked for and kept in ``_pair``, and its embedding in the free ring
-    is kept in ``_full`` by ``to_full_poly``; negation carries both over.
+    is asked for and kept in ``_pair``, its embedding in the free ring is
+    kept in ``_full`` by ``to_full_poly``, and the printed order of that
+    embedding's terms in ``_order`` by ``graded``; negation carries all
+    three over.
     """
 
-    __slots__ = ("ring", "parts", "_pair", "_full")
+    __slots__ = ("ring", "parts", "_pair", "_full", "_order")
 
-    def __init__(self, ring, parts, pair=None, full=None):
+    def __init__(self, ring, parts, pair=None, full=None, order=None):
         self.ring = ring
         self.parts = parts
         self._pair = pair
         self._full = full
+        self._order = order
 
     def _check(self, other):
         if not isinstance(other, QElement) or other.ring != self.ring:
@@ -614,7 +656,8 @@ class QElement:
     def __neg__(self):
         pair = None if self._pair is None else (-self._pair[0], -self._pair[1])
         full = None if self._full is None else -self._full
-        return QElement(self.ring, tuple(-x for x in self.parts), pair, full)
+        order = None if self._order is None else [(g, k, e, -c) for g, k, e, c in self._order]
+        return QElement(self.ring, tuple(-x for x in self.parts), pair, full, order)
 
     def __sub__(self, other):
         return self + (-other)
@@ -689,8 +732,17 @@ class QElement:
         self._full = _poly(self.ring.full_vars, terms, bound)
         return self._full
 
+    def graded(self):
+        """``LaurentPoly.graded`` of ``to_full_poly``, read once and kept: the
+        sign ``invariant.normalize`` fixes and the order ``render`` prints in.
+        A negation reuses it with the signs flipped, since the coefficients
+        play no part in the order."""
+        if self._order is None:
+            self._order = self.to_full_poly().graded()
+        return self._order
+
     def render(self):
-        return self.to_full_poly().render()
+        return self.to_full_poly().render(self.graded())
 
     def __repr__(self):
         return f"<{self.ring.tag}: {self.render()}>"
@@ -716,12 +768,15 @@ def det(rows, ring):
     A signed monomial free of q is a unit of the free Laurent ring and of
     every image, so ``_unit_steps`` first eliminates such pivots over the
     free ring, once for all four images.  With u the product of those
-    pivots and S the Schur complement they leave, det M = +-u * det S; only
-    u and the entries of S go through ``from_raw``, and ``_bareiss_det``
-    finishes each image of S.  q is never taken as a pivot: it has no
-    inverse in the quotient.  A row the free-ring steps empty makes the
-    determinant zero in all four images.  The 0x0 determinant is the ring
-    one.
+    pivots and S the Schur complement they leave, det M = +-u * det S, the
+    determinant of S with its first row multiplied by +-u.  That fold is a
+    key shift, since u is a monomial, and it changes no term count in any
+    image, so ``_bareiss_det`` takes the pivots it would take on S; only the
+    entries of the folded S go through ``from_raw``, and ``_bareiss_det``
+    finishes each image of it.  When no row is left, the value is the image
+    of +-u itself.  q is never taken as a pivot: it has no inverse in the
+    quotient.  A row the free-ring steps empty makes the determinant zero in
+    all four images.  The 0x0 determinant is the ring one.
     """
     n = len(rows)
     full = ring.full_vars
@@ -740,16 +795,19 @@ def det(rows, ring):
     if steps is None:
         return ring.zero()
     sign, unit, live_rows, live_cols = steps
-    unit = ring.from_raw(unit if sign > 0 else -unit)
+    if sign < 0:
+        unit = -unit
+    if live_rows:
+        first = sparse[live_rows[0]]
+        for j, e in first.items():
+            first[j] = e * unit
     place = {j: k for k, j in enumerate(live_cols)}
     rest = [[(place[j], ring.from_raw(e).parts) for j, e in sparse[i].items()] for i in live_rows]
-    return QElement(
-        ring,
-        tuple(
-            u * _bareiss_det([{j: parts[c] for j, parts in row if parts[c]._terms} for row in rest], ring.vars)
-            for c, u in enumerate(unit.parts)
-        ),
+    images = tuple(
+        _bareiss_det([{j: parts[c] for j, parts in row if parts[c]._terms} for row in rest], ring.vars)
+        for c in range(4)
     )
+    return QElement(ring, images) if live_rows else ring.from_raw(unit)
 
 
 def _unit_steps(rows, vars):
@@ -763,10 +821,12 @@ def _unit_steps(rows, vars):
     on an under-arc).  The unit of lowest Markowitz (1957) cost
     (r - 1)*(c - 1) is taken, r the nonzero count of its row and c that of
     its column over live rows, ties going to the lowest (row, column).  The
-    pivot row is multiplied by the pivot's inverse, and a times it is
-    subtracted from every live row holding a in the pivot column, with no
-    division and no growth but what the products bring.  The steps stop
-    when no live entry is a unit.
+    pivot row is multiplied by the pivot's inverse, a key shift, and a
+    times it is subtracted from every live row holding a in the pivot
+    column, with no division and no growth but what the products bring.
+    Each update f - a*e is one ``_addmul`` into a copy of f's terms, with
+    the bound f - a*e has, max(f's, a's + e's).  The steps stop when no
+    live entry is a unit.
 
     Moving the pivot to the first live row and column is a permutation of
     sign (-1)^(r+c), r and c the pivot's places among the live rows and
@@ -829,13 +889,14 @@ def _unit_steps(rows, vars):
             row, row_units = rows[i], units[i]
             a = row.pop(pj)
             row_units.discard(pj)
+            at, ab = a._terms, a._bound
             for j, e in prow:
                 f = row.get(j)
                 if f is None:
-                    f = row[j] = -(a * e)
+                    f = row[j] = _poly(vars, _addmul({}, at, e._terms, -1), ab + e._bound)
                     cols[j].add(i)
                 else:
-                    f = f - a * e
+                    f = _poly(vars, _addmul(dict(f._terms), at, e._terms, -1), max(f._bound, ab + e._bound))
                     if not f._terms:
                         del row[j]
                         cols[j].discard(i)
@@ -859,10 +920,13 @@ def _bareiss_det(rows, vars):
     and swaps its row into row k, each swap flipping the sign.  Every row m
     below becomes (p_k * m - m_k * row k) / p_(k-1), p_k the step-k pivot
     and no division on the first step; a row with no entry in column k
-    just becomes p_k * m / p_(k-1).  By Sylvester's identity every entry so
-    formed is a minor of the matrix, so every division is exact, and the
-    last pivot is the determinant.  A column with no entry at or below its
-    step makes the determinant zero; the 0x0 determinant is one.
+    just becomes p_k * m / p_(k-1).  Each entry p_k * e - m_k * f is built
+    by two ``_addmul`` calls into one dict, with the bound of that
+    difference, max(p_k's + e's, m_k's + f's), before the exact division.
+    By Sylvester's identity every entry so formed is a minor of the matrix,
+    so every division is exact, and the last pivot is the determinant.  A
+    column with no entry at or below its step makes the determinant zero;
+    the 0x0 determinant is one.
     """
     n = len(rows)
     sign, prev = 1, LaurentPoly.const(vars, 1)
@@ -876,13 +940,20 @@ def _bareiss_det(rows, vars):
             sign = -sign
         prow = rows[k]
         pivot = prow.pop(k)
+        pt, pb = pivot._terms, pivot._bound
         for i in range(k + 1, n):
             row = rows[i]
             a = row.pop(k, None)
-            new = {j: pivot * e for j, e in row.items()}
+            new = {j: (_addmul({}, pt, e._terms), pb + e._bound) for j, e in row.items()}
             if a is not None:
+                at, ab = a._terms, a._bound
                 for j, e in prow.items():
-                    new[j] = new[j] - a * e if j in new else -(a * e)
-            rows[i] = {j: e.exact_div(prev) if k else e for j, e in new.items() if e._terms}
+                    terms, bound = new.get(j, ({}, 0))
+                    new[j] = _addmul(terms, at, e._terms, -1), max(bound, ab + e._bound)
+            row = rows[i] = {}
+            for j, (terms, bound) in new.items():
+                if terms:
+                    e = _poly(vars, terms, bound)
+                    row[j] = e.exact_div(prev) if k else e
         prev = pivot
     return prev if sign > 0 else -prev

@@ -5,6 +5,8 @@ These are the sum, product and exact division the package used before each
 exponent vector was packed into one int: every term is keyed by its exponent
 tuple, a product builds the tuple of sums, and exact division checks each
 peeled quotient term against the box of exponents the quotient can have.
+``oracle_addmul_terms`` is the multiply-accumulate c + sign*a*b on bare
+tuple-keyed terms, with no exponent limit.
 ``oracle_from_raw`` is the ring map into a quotient ring as it was before it
 read the images off packed keys: it sorts the terms by q-degree and
 multiplies each group by 1-t once per power of q.  All of them read and
@@ -55,6 +57,18 @@ def oracle_mul(x, y):
             elif k in r:
                 del r[k]
     return LaurentPoly(x.vars, r)
+
+
+def oracle_addmul_terms(c, a, b, sign=1):
+    """The terms of c + sign*a*b keyed by exponent tuples, with no exponent
+    limit: ``c`` is a tuple-keyed dict and ``a``, ``b`` are polynomials, read
+    through their ``terms``."""
+    r = dict(c)
+    for k1, v1 in a.terms.items():
+        for k2, v2 in b.terms.items():
+            k = tuple(map(add, k1, k2))
+            r[k] = r.get(k, 0) + sign * v1 * v2
+    return {k: v for k, v in r.items() if v}
 
 
 def oracle_exact_div(x, divisor):

@@ -253,6 +253,47 @@ def test_det_matches_the_bareiss_loop_on_large_diagrams(bareiss_sizes):
     assert longest >= 4
 
 
+def test_unit_fold_leaves_the_rest_bareiss_sees(bareiss_sizes, monkeypatch):
+    """``det`` folds +-u, the product of the unit pivots, into the first row
+    of the rest before mapping it into the ring.  u is a signed monomial in
+    every image, so Bareiss gets the rest's size, and in every image each
+    cell's term count, as with the rest unfolded; its pivot rule reads only
+    those, so it takes the same pivots."""
+    seen = []
+    bareiss = rings._bareiss_det
+
+    def spy(rows, vars):
+        seen.append([{j: len(e._terms) for j, e in row.items()} for row in rows])
+        return bareiss(rows, vars)
+
+    rng = random.Random(2071)
+    diagrams = [d for fixture in ("torus_pair.surf", "sample.gauss") for d in parse_file(FIXTURES / fixture)[0]]
+    diagrams += [random_diagram(rng, rng.randint(8, 30), rng.randint(0, 2)) for _ in range(12)]
+    rests = 0
+    for d in diagrams:
+        for m, rows, ring in _invariant_matrices(d):
+            sparse = [{j: e for j, e in enumerate(row) if e._terms} for row in m.entries]
+            steps = rings._unit_steps(sparse, ring.full_vars)
+            sizes = bareiss_sizes(m.entries, ring)
+            if steps is None:
+                assert sizes == []
+                continue
+            _, _, live_rows, live_cols = steps
+            assert sizes == [len(live_rows)] * 4
+            place = {j: k for k, j in enumerate(live_cols)}
+            unfolded = [[(place[j], ring.from_raw(e).parts) for j, e in sparse[i].items()] for i in live_rows]
+            monkeypatch.setattr(rings, "_bareiss_det", spy)
+            seen.clear()
+            assert m.det() == per_image_det(rows, ring)
+            monkeypatch.setattr(rings, "_bareiss_det", bareiss)
+            assert seen == [
+                [{j: len(parts[c]._terms) for j, parts in row if parts[c]._terms} for row in unfolded]
+                for c in range(4)
+            ]
+            rests += len(live_rows) > 1
+    assert rests > 5
+
+
 def _matches_per_image(d):
     """Both invariants' m.det(), from the entries as built, checked against
     ``per_image_det`` on the entries mapped into the ring."""

@@ -268,3 +268,25 @@ def test_verify_shifts_each_value_once(monkeypatch):
     # more compares than trials: some before-value met several after-values
     assert compares > 2 * 12
     assert max(sum(elem is value.det for elem in shifted) for value in values) == 1
+
+
+def test_each_printed_value_is_sorted_once(monkeypatch, capsys):
+    """``normalize`` reads the printed order of a value's terms to fix its
+    sign, and ``render`` prints in that same order: one ``graded`` call per
+    printed value, in the text and the JSON output alike."""
+    calls = []
+    graded = LaurentPoly.graded
+
+    def spy(self):
+        calls.append(self)
+        return graded(self)
+
+    monkeypatch.setattr(LaurentPoly, "graded", spy)
+    for fixture, kind in (("torus_pair.surf", "s"), ("sample.gauss", "nprime"), ("sample.gauss", "s")):
+        path = str(FIXTURES / fixture)
+        count = len(parse_file(path)[0])
+        for extra in ([], ["--json"]):
+            calls.clear()
+            assert run(["invariant", "--type", kind, *extra, path]) == 0
+            out = capsys.readouterr().out
+            assert len(calls) == count and out.count("\n") >= count

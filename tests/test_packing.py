@@ -1,16 +1,30 @@
 """Packed exponent keys against the tuple-keyed oracle, and the limits that
 keep packing exact: the exponent limit of ``LaurentPoly`` and the parser's
-ceiling on tokens per diagram."""
+ceiling on tokens per diagram.
+
+The multiply-accumulate kernel of ``rings`` (``_addmul``) is checked through
+its uses: a monomial times a polynomial, the update of a unit step
+(``_unit_steps`` on a 2x2 matrix) and the Bareiss update (``_bareiss_det``
+on a 2x2 matrix, whose determinant is that one update); the one-pass
+difference is checked beside them.
+Each result must equal the oracle's, carry the bound the operation keeps
+(the sum of the operands' bounds for a product, their maximum for a sum,
+and the exact largest exponent once that reaches the limit), and raise
+ExponentOverflow exactly when the oracle's exponents reach the limit.
+"""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from knotparity import rings
 from knotparity.cli import run
 from knotparity.diagram import MAX_TOKENS, DiagramError, TooManyTokens, parse_file, parse_gauss
 from knotparity.rings import EXPONENT_LIMIT, ExponentOverflow, LaurentPoly
 
-from poly_oracle import oracle_add, oracle_exact_div, oracle_mul
+from poly_oracle import oracle_add, oracle_addmul_terms, oracle_exact_div, oracle_mul
 
 LIMIT = EXPONENT_LIMIT
 
@@ -108,6 +122,157 @@ def test_exponents_at_the_field_edge_raise():
         low.exact_div(LaurentPoly.monomial(vars, 1, t=LIMIT - 1))
     with pytest.raises(ExponentOverflow):
         (low * (t + x)).exact_div(LaurentPoly.monomial(vars, 1, t=LIMIT - 2) * (t + x))
+
+
+# the variables of the kernel tests: the unit steps need q
+VARS = ("t", "p", "q", "x1")
+EXPONENT_SETS = {
+    "small": range(-3, 4),
+    # operands within one of the limit, so that products and the update's
+    # bound cross it, with exponents reaching it or not
+    "edge": (-(LIMIT - 1), -(LIMIT // 2) - 1, -1, 0, 1, LIMIT // 2, LIMIT - 1),
+}
+
+
+def _reach(terms):
+    """The largest absolute exponent of tuple-keyed terms."""
+    return max((abs(e) for k in terms for e in k), default=0)
+
+
+def _expect(compute, expected, nominal):
+    """compute() against the oracle's terms: ExponentOverflow when they reach
+    the limit, else the same terms with bound ``nominal``, or the exact
+    largest exponent where ``nominal`` reaches the limit."""
+    if _reach(expected) >= LIMIT:
+        with pytest.raises(ExponentOverflow):
+            compute()
+        return None
+    result = compute()
+    assert result.terms == expected
+    assert result._bound == (nominal if nominal < LIMIT else _reach(expected))
+    return result
+
+
+def _is_unit(terms):
+    """Whether tuple-keyed terms are a signed monomial free of q."""
+    return len(terms) == 1 and all(abs(c) == 1 and k[2] == 0 for k, c in terms.items())
+
+
+def check_monomial_product(m, f):
+    expected = oracle_addmul_terms({}, m, f)
+    assert len(m.terms) != 1 or not f.terms or len(expected) == len(f.terms)  # a key shift
+    for x, y in ((m, f), (f, m)):
+        _expect(lambda: x * y, expected, x._bound + y._bound)
+
+
+def check_difference(a, b):
+    expected = oracle_add(a, -b).terms
+    _expect(lambda: a - b, expected, max(a._bound, b._bound))
+
+
+def check_unit_step(u, e, a, f):
+    """The one update of a unit step on [[u, e], [a, f]] is f - a*(e/u)."""
+    ((uk, uc),) = u.terms.items()
+    inv = LaurentPoly(VARS, {tuple(-x for x in uk): uc})
+    scaled = oracle_addmul_terms({}, e, inv)
+    rows = [{0: u, 1: e}, {0: a} if f is None else {0: a, 1: f}]
+    if _reach(scaled) >= LIMIT:
+        with pytest.raises(ExponentOverflow):
+            rings._unit_steps(rows, VARS)
+        return
+    scaled_bound = e._bound + u._bound if e._bound + u._bound < LIMIT else _reach(scaled)
+    scaled = LaurentPoly(VARS, scaled)
+    expected = oracle_addmul_terms({} if f is None else f.terms, a, scaled, -1)
+    if _is_unit(expected):
+        return  # a second step would take it as its pivot
+    if not expected:
+        assert rings._unit_steps(rows, VARS) is None  # the row emptied
+        return
+    nominal = max(0 if f is None else f._bound, a._bound + scaled_bound)
+    _expect(lambda: rings._unit_steps(rows, VARS) and rows[1][1], expected, nominal)
+
+
+def check_bareiss_update(p, e, a, f):
+    """The determinant of [[p, e], [a, f]] by ``_bareiss_det`` is its one
+    update p*f - a*e, an empty cell standing for zero."""
+    expected = oracle_addmul_terms({}, p, f) if f is not None else {}
+    expected = oracle_addmul_terms(expected, a, e, -1) if e is not None else expected
+    nominal = max(p._bound + f._bound if f is not None else 0, a._bound + e._bound if e is not None else 0)
+    rows = [{0: p} if e is None else {0: p, 1: e}, {0: a} if f is None else {0: a, 1: f}]
+    _expect(lambda: rings._bareiss_det(rows, VARS), expected, nominal if expected else 0)
+
+
+def _monomial(rng, exps, coefs=(-3, -1, 1, 2)):
+    return LaurentPoly(VARS, {tuple(rng.choice(exps) for _ in VARS): rng.choice(coefs)})
+
+
+def _non_unit(rng, exps):
+    """A polynomial of two terms or more."""
+    while True:
+        x = rand_poly(rng, VARS, exps, 5)
+        if len(x.terms) > 1:
+            return x
+
+
+def _maybe(rng, x):
+    return None if rng.random() < 0.25 else x
+
+
+@pytest.mark.parametrize("exps", EXPONENT_SETS.values(), ids=EXPONENT_SETS.keys())
+def test_kernel_matches_the_oracle(exps):
+    rng = random.Random(20261021)
+    for _ in range(150):
+        check_monomial_product(_monomial(rng, exps), rand_poly(rng, VARS, exps, 6))
+        check_difference(rand_poly(rng, VARS, exps, 6), rand_poly(rng, VARS, exps, 6))
+        unit = LaurentPoly(VARS, {tuple(0 if v == "q" else rng.choice(exps) for v in VARS): rng.choice((-1, 1))})
+        f = _maybe(rng, rand_poly(rng, VARS, exps, 4))
+        check_unit_step(unit, _non_unit(rng, exps), _non_unit(rng, exps), f)
+        p, a = rand_poly(rng, VARS, exps, 4), rand_poly(rng, VARS, exps, 4)
+        e, f = _maybe(rng, rand_poly(rng, VARS, exps, 4)), _maybe(rng, rand_poly(rng, VARS, exps, 4))
+        check_bareiss_update(p, e, a, f)
+
+
+def test_kernel_cancellations_and_edges():
+    t = LaurentPoly.monomial(VARS, 1, t=1)
+    x = LaurentPoly.monomial(VARS, 1, x1=1)
+    one = LaurentPoly.const(VARS, 1)
+    top = LaurentPoly.monomial(VARS, 1, t=LIMIT - 1)
+    # a difference that cancels to zero keeps the larger bound, as a sum does
+    check_difference(t + top, t + top)
+    check_difference(top, -top)
+    # the update cancels to zero: the row empties and the determinant is zero
+    check_unit_step(one, t + x, t + one, t * t + t * x + t + x)
+    check_bareiss_update(t + one, t - one, t * t - one, t + one)
+    # the bound crosses the limit and the exponents do not, and then they do
+    low = LaurentPoly.monomial(VARS, 1, t=-(LIMIT - 1))
+    check_monomial_product(low, top + x)
+    check_monomial_product(top, top + x)
+    check_unit_step(low, top + x, t + x, top)
+    check_unit_step(top, t + x, top + x, x)
+    check_bareiss_update(top, top + x, t + one, low + x)
+    check_bareiss_update(low, t + x, top + x, x)
+
+
+def _edge_poly(draw_exps, draw_coefs):
+    return st.dictionaries(st.tuples(*[draw_exps] * len(VARS)), draw_coefs, min_size=1, max_size=5).map(
+        lambda terms: LaurentPoly(VARS, terms)
+    )
+
+
+_EXPS = st.one_of(st.integers(-3, 3), st.sampled_from(EXPONENT_SETS["edge"]))
+_POLYS = _edge_poly(_EXPS, st.sampled_from((-2, -1, 1, 3)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_POLYS, _POLYS, _POLYS, _POLYS, st.booleans())
+def test_kernel_matches_the_oracle_on_drawn_polynomials(a, b, c, d, empty):
+    ((mk, mc),) = list(a.terms.items())[:1]
+    check_monomial_product(LaurentPoly(VARS, {mk: mc}), b)
+    check_difference(a, b)
+    check_bareiss_update(a, None if empty else b, c, d)
+    unit = LaurentPoly(VARS, {mk[:2] + (0,) + mk[3:]: 1 if mc > 0 else -1})
+    if len(b.terms) > 1 and len(c.terms) > 1:
+        check_unit_step(unit, b, c, None if empty else d)
 
 
 def _kinks(count):

@@ -227,13 +227,37 @@ def test_one_chord_pass_per_diagram_object(monkeypatch):
         assert len({id(x) for x in passes}) == len(passes) == rep.trials + rep.moves_checked
 
 
+def test_maps_built_once_per_diagram_object(monkeypatch):
+    """``parity_map`` and ``hierarchy_types`` hand out the one map each
+    diagram object builds; a verify sweep, which reads them for every move
+    (axioms, the degenerate test and the invariant), builds each at most
+    once per object."""
+    d = parse_gauss("t: O1- U2- O3- U1- O2- U3-")
+    assert parity_map(d) is parity_map(d) and hierarchy_types(d) is hierarchy_types(d)
+    builds = []
+    for name in ("parity", "types"):
+        prop = getattr(Diagram, name)
+
+        def recorded(diagram, original=prop.func, name=name):
+            builds.append((name, diagram))  # holding the object keeps its id unique
+            return original(diagram)
+
+        monkeypatch.setattr(prop, "func", recorded)
+    for kind, genus in (("s", 2), ("nprime", 0)):
+        builds.clear()
+        rep = verify_invariance(seed=3, trials=8, max_crossings=5, genus=genus, invariant=kind)
+        assert rep.compares and builds
+        assert len({(name, id(x)) for name, x in builds}) == len(builds)
+
+
 def test_chord_cache_is_invisible():
     assert [f.name for f in dataclasses.fields(Diagram)] == ["name", "genus", "tokens"]
     text = "genus 1; k: O1+ x1+ O2- U1+ x1- U2-"
     a, b = parse_line(text), parse_line(text)
     seen = (hash(a), repr(a))
     assert a.chords.counts == {1: 1, 2: 1}
-    assert "chords" in vars(a) and "chords" not in vars(b)
+    assert a.parity == {1: ODD, 2: ODD} and a.types == {1: 0, 2: 0}
+    assert {"chords", "parity", "types"} <= set(vars(a)) and "chords" not in vars(b)
     assert a == b and b == a
     assert hash(a) == hash(b) == seen[0]
     assert repr(a) == repr(b) == seen[1]

@@ -1,9 +1,13 @@
-"""Tests of the scripts under ``scripts/``: smoke runs, each as its own process, and the code-line counting rule."""
+"""Tests of the scripts under ``scripts/``: smoke runs, each as its own
+process, the code-line counting rule and the statistics of the benchmark
+pairs (on canned values: no benchmark runs here)."""
 
 import importlib.util
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -21,11 +25,15 @@ def test_torus_pair_walkthrough():
     assert [line.split(":")[0] for line in lines if line.startswith("== 1.")] == ["== 1.12", "== 1.13bar"]
 
 
-def _load_code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", SCRIPTS / "code_lines.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_code_lines():
+    return _load("code_lines")
 
 
 def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
@@ -64,3 +72,33 @@ def test_code_lines_total_is_the_sum_of_the_files():
         str(p.relative_to(SCRIPTS.parent)) for p in (SCRIPTS.parent / "src" / "knotparity").glob("*.py")
     )
     assert int(total[0]) == sum(int(n) for n, _ in files) > 0
+
+
+def test_bench_pairs_quartiles_are_inclusive():
+    bench_pairs = _load("bench_pairs")
+    assert bench_pairs.quartiles([5, 1, 4, 2, 3]) == (2, 3, 4)
+    assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_bench_pairs_gain_rule():
+    summarize = _load("bench_pairs").summarize
+    parent = [376, 380, 372, 377, 375, 379, 374, 378, 371, 381]
+    # parent quartiles 374.25 and 378.75: an IQR of 4.5 around a median of 376.5
+    s = summarize(parent, [p + 40 for p in parent], "higher")
+    assert s["parent"] == (376.5, 374.25, 378.75) and s["change"][0] == 416.5
+    assert (s["wins"], s["pairs"], s["holds"]) == (10, 10, True)
+    # nine wins of ten still hold; eight do not
+    nine = [p + 40 for p in parent[:9]] + [parent[9] - 1]
+    assert summarize(parent, nine, "higher")["wins"] == 9 and summarize(parent, nine, "higher")["holds"]
+    eight = [p + 40 for p in parent[:8]] + [parent[8], parent[9] - 1]
+    assert summarize(parent, eight, "higher")["wins"] == 8 and not summarize(parent, eight, "higher")["holds"]
+    # every pair won, but the medians differ by less than the parent's IQR
+    s = summarize(parent, [p + 4 for p in parent], "higher")
+    assert s["wins"] == 10 and not s["holds"]
+    # a lower-is-better metric wins by going down; ties count for neither side
+    lower = summarize([2.0, 2.1, 2.2, 2.3], [1.0, 1.1, 2.2, 1.2], "lower")
+    assert lower["wins"] == 3 and not lower["holds"]
+    assert summarize([2.0] * 10, [1.0] * 10, "lower")["holds"]
+    assert not summarize([2.0] * 10, [3.0] * 10, "lower")["holds"]
+    with pytest.raises(ValueError):
+        summarize([1.0], [], "higher")
