@@ -21,10 +21,13 @@ crossings; type-0 crossings contribute no rows.  All three matrices are
 filled by one routine, ``_fill``, from one arc walk each: ``diagram.arcs``,
 ``diagram.short_arcs`` and the presentation's walk, which also stops at
 type-0 over-passages.  A per-incidence rule gives the rows an incidence
-writes to, with a coefficient for each, and ``_fill`` multiplies each
-coefficient by the label monomial of the incidence, the product of the
-ring's extra variables (x1..x2g, or s) raised to its label entries; the
-presentation's labels are empty.
+writes to, with a coefficient for each, to be multiplied by the label
+monomial of the incidence, the product of the ring's extra variables
+(x1..x2g, or s) raised to its label entries; the presentation's labels are
+empty.  Those variables are the last of the ring's, so the packed key of
+the label is the key of its monomial, and ``_fill`` adds each coefficient's
+terms, their keys shifted by it, into one packed term dict per cell, which
+becomes a polynomial once the walk is done.
 
 All three matrices hold one entry type: plain ``LaurentPoly`` values over
 the free ring, ``ring.full_vars`` for the two determinant matrices and
@@ -135,23 +138,40 @@ def _fill(vars, extras, table, rows, cols, rule):
     Arc j's column is keyed (origin_kind, origin).  Each incidence of the arc
     adds, for every (row key, coefficient) pair of ``rule(inc)``, coefficient
     times its label monomial at that row; the monomial is ``extras`` raised
-    to the label.  Entries are polynomials over ``vars``; empty cells share
-    one zero.
+    to the label.  The extras are the last variables of ``vars``, so the
+    label's packed key is the key of that monomial, and each product is a
+    key shift: every term of the coefficient is added, its key shifted by
+    the label's, into one packed term dict per cell.  A cell's bound is the
+    largest over its contributions of the coefficient's bound plus the
+    label's largest absolute exponent, as the bound of a sum of products;
+    each cell written to becomes one polynomial over ``vars``, and empty
+    cells share one zero.
     """
     ridx = {k: i for i, k in enumerate(rows)}
     cidx = {k: j for j, k in enumerate(cols)}
-    zero = LaurentPoly.zero(vars)
-    grid = [[zero] * len(cols) for _ in rows]
-    monomials = {(0,) * len(extras): None}  # the zero label scales by 1
+    labels = {}  # label -> (its monomial as packed terms {key: 1}, its bound)
+    cells = {}  # (row, column) -> [packed terms, bound]
     for arc in table:
         j = cidx[arc.origin_kind, arc.origin]
         for inc in arc.incidences:
-            if inc.label not in monomials:
-                monomials[inc.label] = LaurentPoly.monomial(vars, **dict(zip(extras, inc.label)))
-            mono = monomials[inc.label]
+            label = labels.get(inc.label)
+            if label is None:
+                reach = max(map(abs, inc.label), default=0)
+                if reach >= rings.EXPONENT_LIMIT:
+                    raise rings.ExponentOverflow(f"exponent {reach} is past the limit {rings.EXPONENT_LIMIT - 1}")
+                label = labels[inc.label] = {rings._pack(inc.label): 1}, reach
+            mono, reach = label
             for key, coef in rule(inc):
-                i = ridx[key]
-                grid[i][j] = grid[i][j] + (coef if mono is None else coef * mono)
+                cell = cells.get((ridx[key], j))
+                if cell is None:
+                    cells[ridx[key], j] = [rings._addmul({}, coef._terms, mono), coef._bound + reach]
+                else:
+                    rings._addmul(cell[0], coef._terms, mono)
+                    cell[1] = max(cell[1], coef._bound + reach)
+    zero = LaurentPoly.zero(vars)
+    grid = [[zero] * len(cols) for _ in rows]
+    for (i, j), (terms, bound) in cells.items():
+        grid[i][j] = rings._poly(vars, terms, bound)
     return tuple(tuple(row) for row in grid)
 
 

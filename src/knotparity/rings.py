@@ -59,19 +59,21 @@ pivots that are signed monomials free of q, such as -1, t or -p*x1^-2
 (every crossing row of the invariant matrices holds one).  Those are units
 of the free ring and of all four images, and the steps need no division at
 all, so they run once for the four images.  Their product u is a signed
-monomial, folded into the first row of the Schur complement they leave;
-only that complement goes through ``from_raw``.  Each image of it is then
-finished by ``_bareiss_det``, textbook fraction-free Bareiss elimination,
-whose every division is exact.  q itself is never a pivot: it has no
-inverse in the quotient.
+monomial, kept while they run as one packed key, a sign and a bound, and
+each division by a pivot is a key shift.  u is folded into the first row
+of the Schur complement they leave; only that complement goes through
+``from_raw``.  A complement of one row is its own determinant; each image
+of a larger one is finished by ``_bareiss_det``, textbook fraction-free
+Bareiss elimination, whose every division is exact.  q itself is never a
+pivot: it has no inverse in the quotient.
 
 One kernel, ``_addmul``, does every multiply-accumulate r += sign*a*b on
-packed term dicts: products (r empty) and the row updates of both
-eliminations, each in one dict with no throwaway polynomial; a sum or a
-difference is one pass over the second operand's terms.  Most products on
-the determinant path have a one-term factor (a role coefficient times a
-label monomial, a unit pivot or its inverse, the folded u), and such a
-product is a key shift.
+packed term dicts: products (r empty), the row updates of both
+eliminations and the cells of a matrix (``matrix._fill``), each in one dict
+with no throwaway polynomial; a sum or a difference is one pass over the
+second operand's terms.  Most products on the determinant path have a
+one-term factor (a role coefficient times a label monomial, the folded u),
+and such a product is a key shift.
 
 Packed exponents (after Monagan and Pearce, "Parallel sparse polynomial
 multiplication using heaps", 2009).  A ``LaurentPoly`` over n variables keys
@@ -174,18 +176,27 @@ def _unpack(key, n):
     return tuple([((u >> s) & _MASK) - _HALF for s in shifts])
 
 
+def _exact_bound(n, keys):
+    """The largest absolute exponent of the packed ``keys`` over n variables;
+    raises ExponentOverflow if it reaches EXPONENT_LIMIT.
+
+    The keys come from operands whose exponents lie below EXPONENT_LIMIT,
+    so no key has carried out of a field.
+    """
+    bound = max((max(map(abs, _unpack(k, n))) for k in keys), default=0)
+    if bound >= EXPONENT_LIMIT:
+        raise ExponentOverflow(f"exponent {bound} is past the limit {EXPONENT_LIMIT - 1}")
+    return bound
+
+
 def _poly(vars, packed, bound):
     """A LaurentPoly over packed terms whose exponents are at most ``bound`` in absolute value.
 
-    The terms come from operands whose exponents lie below EXPONENT_LIMIT,
-    so no key has carried out of a field; a bound at or past the limit is
-    replaced by the exact one, read off the terms.
+    A bound at or past the limit is replaced by the exact one, read off the
+    terms (``_exact_bound``).
     """
     if bound >= EXPONENT_LIMIT:
-        n = len(vars)
-        bound = max((max(map(abs, _unpack(k, n))) for k in packed), default=0)
-        if bound >= EXPONENT_LIMIT:
-            raise ExponentOverflow(f"exponent {bound} is past the limit {EXPONENT_LIMIT - 1}")
+        bound = _exact_bound(len(vars), packed)
     poly = object.__new__(LaurentPoly)
     poly.vars, poly._terms, poly._bound, poly._div = vars, packed, bound, None
     return poly
@@ -194,13 +205,13 @@ def _poly(vars, packed, bound):
 def _addmul(r, a, b, sign=1):
     """r + sign*a*b on packed term dicts: r is updated in place and returned.
 
-    This is the one multiply-accumulate of the package: products (r empty)
-    and the row updates of both eliminations in ``det`` go through it.  A
-    term of r that cancels is deleted at once: a sum of two nonzero ints is
-    zero only when the key was already in r.  When r is empty and one factor
-    is a monomial the product is a key shift, returned as a new dict:
-    distinct keys stay distinct and a product of nonzero ints is nonzero, so
-    nothing is tested.  Keys stay exact because every operand keeps its
+    This is the one multiply-accumulate of the package: products (r empty),
+    the row updates of both eliminations in ``det`` and the cells of
+    ``matrix._fill`` go through it.  A term of r that cancels is deleted at
+    once: a sum of two nonzero ints is zero only when the key was already
+    in r.  When r is empty and one factor is a monomial the product is a key
+    shift, returned as a new dict: distinct keys stay distinct and a
+    product of nonzero ints is nonzero, so nothing is tested.  Keys stay exact because every operand keeps its
     exponents below EXPONENT_LIMIT; the caller gives the result its bound
     through ``_poly``.
     """
@@ -773,10 +784,13 @@ def det(rows, ring):
     key shift, since u is a monomial, and it changes no term count in any
     image, so ``_bareiss_det`` takes the pivots it would take on S; only the
     entries of the folded S go through ``from_raw``, and ``_bareiss_det``
-    finishes each image of it.  When no row is left, the value is the image
-    of +-u itself.  q is never taken as a pivot: it has no inverse in the
-    quotient.  A row the free-ring steps empty makes the determinant zero in
-    all four images.  The 0x0 determinant is the ring one.
+    finishes each image of it when S has two rows or more.  An S of one
+    row is its own determinant: the value is the image of its one folded
+    entry, or zero when that row is empty.  When no row is left, the value
+    is the image of +-u itself.  q is never taken as a pivot: it has no
+    inverse in the quotient.  A row the free-ring steps empty makes the
+    determinant zero in all four images.  The 0x0 determinant is the ring
+    one.
     """
     n = len(rows)
     full = ring.full_vars
@@ -801,6 +815,9 @@ def det(rows, ring):
         first = sparse[live_rows[0]]
         for j, e in first.items():
             first[j] = e * unit
+        if len(live_rows) == 1:
+            # a one-row rest is its own determinant: its entry in the one live column
+            return ring.from_raw(*first.values()) if first else ring.zero()
     place = {j: k for k, j in enumerate(live_cols)}
     rest = [[(place[j], ring.from_raw(e).parts) for j, e in sparse[i].items()] for i in live_rows]
     images = tuple(
@@ -828,6 +845,13 @@ def _unit_steps(rows, vars):
     the bound f - a*e has, max(f's, a's + e's).  The steps stop when no
     live entry is a unit.
 
+    The product of the pivots is a signed monomial: it is kept as one packed
+    key, the sum of the pivots' keys, a sign and a bound, the sum of the
+    pivots' bounds, replaced by the exact one, read off the key, once it
+    reaches EXPONENT_LIMIT.  Each entry of a pivot row, divided by the pivot
+    c*x^k (c = +-1), is its keys shifted by -k and its coefficients times c,
+    with the bound of that product, through ``_poly``.
+
     Moving the pivot to the first live row and column is a permutation of
     sign (-1)^(r+c), r and c the pivot's places among the live rows and
     columns; each step multiplies the sign by it.  After a step the pivot
@@ -835,8 +859,8 @@ def _unit_steps(rows, vars):
     sign * unit * (the determinant of the live rows and columns left).
 
     Returns (sign, unit, live rows, live columns), unit the product of the
-    pivots and the live lists in increasing order, or None when a live row
-    empties, which makes the determinant zero.
+    pivots as a ``LaurentPoly`` and the live lists in increasing order, or
+    None when a live row empties, which makes the determinant zero.
     """
     n = len(rows)
     shifts, _, top = _layout(len(vars))
@@ -857,7 +881,8 @@ def _unit_steps(rows, vars):
     # each row's unit columns; a step changes a row only in the pivot column
     # and the pivot row's columns, so only those are tested again
     units = [{j for j, e in row.items() if is_unit(e)} for row in rows]
-    unit, sign = LaurentPoly.const(vars, 1), 1
+    # the product of the pivots, a signed monomial: its key, sign and bound
+    unit_key, unit_sign, unit_bound, sign = 0, 1, 0, 1
     while True:
         best, best_cost = None, n * n
         for i in live_rows:
@@ -871,7 +896,7 @@ def _unit_steps(rows, vars):
             if best_cost == 0:
                 break  # no later row beats a zero cost
         if best is None:
-            return sign, unit, live_rows, live_cols
+            return sign, _poly(vars, {unit_key: unit_sign}, unit_bound), live_rows, live_cols
         pi, pj = best
         if (live_rows.index(pi) + live_cols.index(pj)) % 2:
             sign = -sign
@@ -881,10 +906,13 @@ def _unit_steps(rows, vars):
         for j in prow:
             cols[j].discard(pi)
         pivot = prow.pop(pj)
-        unit = unit * pivot
         ((uk, uc),) = pivot._terms.items()
-        inv = _poly(vars, {-uk: uc}, pivot._bound)
-        prow = [(j, e * inv) for j, e in prow.items()]
+        pb = pivot._bound
+        unit_key, unit_sign, unit_bound = unit_key + uk, unit_sign * uc, unit_bound + pb
+        if unit_bound >= EXPONENT_LIMIT:
+            unit_bound = _exact_bound(len(vars), (unit_key,))
+        # divided by the pivot uc * x^uk: a shift by -uk, times uc = 1/uc
+        prow = [(j, _poly(vars, {k - uk: uc * v for k, v in e._terms.items()}, e._bound + pb)) for j, e in prow.items()]
         for i in sorted(cols[pj]):
             row, row_units = rows[i], units[i]
             a = row.pop(pj)

@@ -21,9 +21,15 @@ elimination, and the result must equal the matching image of the exact
 determinant evaluated at the same point.  An image determinant is a
 Laurent polynomial whose degrees are far below P, so a wrong one agrees at
 a random point with negligible probability.
+
+``oracle_unit_steps`` is ``rings._unit_steps`` as it was before the product
+of the unit pivots became one packed key: it multiplies that product by
+each pivot, and each entry of the pivot row by the pivot's inverse, with
+``LaurentPoly.__mul__``, so each keeps the bound the general product gives
+it.  Pivot rule and row updates are the same as in ``rings``.
 """
 
-from knotparity.rings import LaurentPoly, NonSquare, QElement
+from knotparity.rings import _HALF, _MASK, LaurentPoly, NonSquare, QElement, _addmul, _layout, _poly
 
 P = (1 << 61) - 1
 
@@ -216,3 +222,74 @@ def det_images_mod_p(entries, point):
 def images_mod_p(value, point):
     """The four images of a ``QElement`` at ``point``, mod P."""
     return [_at(part, values) for part, values in zip(value.parts, _image_points(point))]
+
+
+def oracle_unit_steps(rows, vars):
+    """(sign, unit, live rows, live columns) or None, as ``rings._unit_steps``
+    returns them, with ``rows`` changed in place the same way."""
+    n = len(rows)
+    shifts, _, top = _layout(len(vars))
+    q_shift = shifts[vars.index("q")]
+
+    def is_unit(e):
+        if len(e._terms) != 1:
+            return False
+        ((k, c),) = e._terms.items()
+        return abs(c) == 1 and ((k + top) >> q_shift) & _MASK == _HALF
+
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    live_rows, live_cols = list(range(n)), list(range(n))
+    units = [{j for j, e in row.items() if is_unit(e)} for row in rows]
+    unit, sign = LaurentPoly.const(vars, 1), 1
+    while True:
+        best, best_cost = None, n * n
+        for i in live_rows:
+            r = len(rows[i]) - 1
+            for j in units[i]:
+                cost = r * (len(cols[j]) - 1)
+                if cost < best_cost or cost == best_cost and best[0] == i and j < best[1]:
+                    best, best_cost = (i, j), cost
+            if best_cost == 0:
+                break
+        if best is None:
+            return sign, unit, live_rows, live_cols
+        pi, pj = best
+        if (live_rows.index(pi) + live_cols.index(pj)) % 2:
+            sign = -sign
+        live_rows.remove(pi)
+        live_cols.remove(pj)
+        prow = rows[pi]
+        for j in prow:
+            cols[j].discard(pi)
+        pivot = prow.pop(pj)
+        unit = unit * pivot
+        ((uk, uc),) = pivot._terms.items()
+        inv = _poly(vars, {-uk: uc}, pivot._bound)
+        prow = [(j, e * inv) for j, e in prow.items()]
+        for i in sorted(cols[pj]):
+            row, row_units = rows[i], units[i]
+            a = row.pop(pj)
+            row_units.discard(pj)
+            at, ab = a._terms, a._bound
+            for j, e in prow:
+                f = row.get(j)
+                if f is None:
+                    f = row[j] = _poly(vars, _addmul({}, at, e._terms, -1), ab + e._bound)
+                    cols[j].add(i)
+                else:
+                    f = _poly(vars, _addmul(dict(f._terms), at, e._terms, -1), max(f._bound, ab + e._bound))
+                    if not f._terms:
+                        del row[j]
+                        cols[j].discard(i)
+                        row_units.discard(j)
+                        continue
+                    row[j] = f
+                if is_unit(f):
+                    row_units.add(j)
+                else:
+                    row_units.discard(j)
+            if not row:
+                return None

@@ -14,7 +14,9 @@ pivot on one.
 Seeded matrices are built to leave the Bareiss steps a known rest: no unit
 entry (the whole matrix), a signed permutation of units and a triangle
 with unit diagonal (an empty rest), and a row emptied by the unit steps
-(no rest at all).  Diagrams of 25-45 crossings leave rests of more than a
+(no rest at all).  A rest of one row is its own determinant and reaches no
+Bareiss call; a rest of two rows or more reaches it at full size in all
+four images.  Diagrams of 25-45 crossings leave rests of more than a
 few rows, where Bareiss divides.  Diagrams of 25-60 crossings, beyond the
 exact oracles' reach, are checked by evaluating every image at a seeded
 random point modulo 2^61 - 1 (``det_oracle.det_images_mod_p``).
@@ -62,7 +64,8 @@ def _checked_det(rows, ring):
 def bareiss_sizes(monkeypatch):
     """bareiss_sizes(rows, ring) runs ``det`` and lists the row count of
     each image of the Schur complement that it hands to ``_bareiss_det``:
-    four counts, or none when the free-ring unit steps empty a row."""
+    four counts, or none when the free-ring unit steps empty a row or leave
+    a rest of one row."""
     sizes = []
     bareiss = rings._bareiss_det
 
@@ -104,6 +107,19 @@ def _non_unit(rng, ring):
 def _non_unit_rows(rng, ring, count, n):
     """``count`` rows of n entries, each zero (30 %) or a non-unit."""
     return [[_zero(ring) if rng.random() < 0.3 else _non_unit(rng, ring) for _ in range(n)] for _ in range(count)]
+
+
+def _unit_steps_of(entries, ring):
+    """``rings._unit_steps`` on the sparse rows of dense ``entries``, and those rows after it."""
+    sparse = [{j: e for j, e in enumerate(row) if e._terms} for row in entries]
+    return rings._unit_steps(sparse, ring.full_vars), sparse
+
+
+def _sizes_for(steps):
+    """The sizes ``bareiss_sizes`` lists for a matrix whose unit steps return ``steps``."""
+    if steps is None or len(steps[2]) == 1:
+        return []
+    return [len(steps[2])] * 4
 
 
 def _shuffled(rng, rows):
@@ -162,8 +178,9 @@ def test_det_without_unit_entries_is_the_bareiss_loop(bareiss_sizes):
         n = rng.randint(1, 5)
         rows = _non_unit_rows(rng, ring, n, n)
         _checked_det(rows, ring)
-        # no unit step: every image gets the whole matrix
-        assert bareiss_sizes(rows, ring) == [n] * 4
+        # no unit step: every image gets the whole matrix, unless it has
+        # one row, which is its own determinant
+        assert bareiss_sizes(rows, ring) == ([n] * 4 if n > 1 else [])
 
 
 def test_det_of_signed_unit_permutations(bareiss_sizes):
@@ -248,7 +265,9 @@ def test_det_matches_the_bareiss_loop_on_large_diagrams(bareiss_sizes):
         d = random_diagram(rng, rng.randint(25, 45), rng.randint(0, 2))
         for m, rows, ring in _invariant_matrices(d):
             assert m.det() == per_image_det(rows, ring)
-            longest = max(longest, *bareiss_sizes(m.entries, ring))
+            sizes = bareiss_sizes(m.entries, ring)
+            assert sizes == _sizes_for(_unit_steps_of(m.entries, ring)[0])
+            longest = max([longest, *sizes])
     # some image gets a rest of four rows, so three Bareiss steps divide
     assert longest >= 4
 
@@ -258,7 +277,8 @@ def test_unit_fold_leaves_the_rest_bareiss_sees(bareiss_sizes, monkeypatch):
     of the rest before mapping it into the ring.  u is a signed monomial in
     every image, so Bareiss gets the rest's size, and in every image each
     cell's term count, as with the rest unfolded; its pivot rule reads only
-    those, so it takes the same pivots."""
+    those, so it takes the same pivots.  A rest of one row reaches no
+    Bareiss call."""
     seen = []
     bareiss = rings._bareiss_det
 
@@ -272,26 +292,70 @@ def test_unit_fold_leaves_the_rest_bareiss_sees(bareiss_sizes, monkeypatch):
     rests = 0
     for d in diagrams:
         for m, rows, ring in _invariant_matrices(d):
-            sparse = [{j: e for j, e in enumerate(row) if e._terms} for row in m.entries]
-            steps = rings._unit_steps(sparse, ring.full_vars)
+            steps, sparse = _unit_steps_of(m.entries, ring)
             sizes = bareiss_sizes(m.entries, ring)
+            assert sizes == _sizes_for(steps)
             if steps is None:
-                assert sizes == []
                 continue
             _, _, live_rows, live_cols = steps
-            assert sizes == [len(live_rows)] * 4
             place = {j: k for k, j in enumerate(live_cols)}
             unfolded = [[(place[j], ring.from_raw(e).parts) for j, e in sparse[i].items()] for i in live_rows]
             monkeypatch.setattr(rings, "_bareiss_det", spy)
             seen.clear()
             assert m.det() == per_image_det(rows, ring)
             monkeypatch.setattr(rings, "_bareiss_det", bareiss)
-            assert seen == [
+            assert seen == ([
                 [{j: len(parts[c]._terms) for j, parts in row if parts[c]._terms} for row in unfolded]
                 for c in range(4)
-            ]
+            ] if len(live_rows) != 1 else [])
             rests += len(live_rows) > 1
     assert rests > 5
+
+
+def test_one_row_rest_is_its_own_determinant(bareiss_sizes):
+    """When the unit steps leave one row, ``det`` is +-u times its one
+    entry, mapped into the ring, or zero when the row is empty, with no
+    Bareiss call."""
+    rng = random.Random(2073)
+    diagrams = [d for fixture in ("torus_pair.surf", "sample.gauss") for d in parse_file(FIXTURES / fixture)[0]]
+    diagrams += [random_diagram(rng, rng.randint(1, 10), rng.randint(0, 2)) for _ in range(60)]
+    one_row = 0
+    for d in diagrams:
+        for m, rows, ring in _invariant_matrices(d):
+            steps, sparse = _unit_steps_of(m.entries, ring)
+            if steps is None or len(steps[2]) != 1:
+                continue
+            sign, unit, (i,), _ = steps
+            value = _checked_det(m.entries, ring)
+            if sparse[i]:
+                (e,) = sparse[i].values()
+                assert value == ring.from_raw(e * unit) * ring.element(sign)
+                one_row += 1
+            else:
+                assert value == ring.zero()
+            assert bareiss_sizes(m.entries, ring) == []
+    assert one_row > 50
+
+
+def test_det_zero_when_the_one_row_left_is_empty(bareiss_sizes):
+    """A zero row that no unit step touches is the rest the steps leave,
+    and an empty one-row rest makes the determinant zero."""
+    rng = random.Random(2074)
+    for trial in range(30):
+        ring = RINGS[trial % 3]
+        n = rng.randint(1, 6)
+        # a triangle with unit diagonal over the first n - 1 columns, and a zero row
+        rows = _non_unit_rows(rng, ring, n - 1, n)
+        for i, row in enumerate(rows):
+            row[:i] = [_zero(ring)] * i
+            row[i] = _unit(rng, ring)
+        rows = _shuffled(rng, rows + [[_zero(ring)] * n])
+        steps, sparse = _unit_steps_of(rows, ring)
+        (i,) = steps[2]
+        assert sparse[i] == {}
+        value = _checked_det(rows, ring)
+        assert value.is_zero and value == ring.zero()
+        assert bareiss_sizes(rows, ring) == []
 
 
 def _matches_per_image(d):

@@ -290,3 +290,23 @@ def test_each_printed_value_is_sorted_once(monkeypatch, capsys):
             assert run(["invariant", "--type", kind, *extra, path]) == 0
             out = capsys.readouterr().out
             assert len(calls) == count and out.count("\n") >= count
+
+
+def test_parity_pair_certificate():
+    """``fixtures/parity_pair.surf``: two genus-1 diagrams whose two
+    crossings are both odd.  Their ``s`` values are distinct up to units,
+    while the determinants built with every crossing even agree and are
+    nonzero, so the parity rows separate them.  A computed certificate, not
+    a figure from the paper."""
+    from knotparity.matrix import build_M
+    from knotparity.parity import EVEN, ODD, parity_map
+
+    diagrams, errors = parse_file(FIXTURES / "parity_pair.surf")
+    assert not errors and [d.name for d in diagrams] == ["a", "b"]
+    assert all(set(parity_map(d).values()) == {ODD} and len(d.crossings) == 2 for d in diagrams)
+    a, b = diagrams
+    assert compare(s_invariant(a), s_invariant(b)).verdict == DISTINCT
+    even = [make_value("G", build_M(d, {c: EVEN for c in d.crossings}).det()) for d in diagrams]
+    assert [v.render() for v in even] == ["t^2*x1 - t^2 - t*x1 + t + x1 - 1"] * 2
+    assert compare(*even).verdict == EQUIVALENT
+    assert not even[0].det.is_zero

@@ -11,6 +11,13 @@ Each result must equal the oracle's, carry the bound the operation keeps
 (the sum of the operands' bounds for a product, their maximum for a sum,
 and the exact largest exponent once that reaches the limit), and raise
 ExponentOverflow exactly when the oracle's exponents reach the limit.
+
+The unit steps keep the product of their pivots as one packed key and
+shift the pivot row's keys; ``det_oracle.oracle_unit_steps`` forms both
+with ``LaurentPoly`` products, as before.  On seeded matrices of units and
+non-units with exponents at the field edge, both must return the same
+product u, with the same bound, and leave the same entries with the same
+bounds, or both raise ExponentOverflow.
 """
 
 import random
@@ -24,6 +31,7 @@ from knotparity.cli import run
 from knotparity.diagram import MAX_TOKENS, DiagramError, TooManyTokens, parse_file, parse_gauss
 from knotparity.rings import EXPONENT_LIMIT, ExponentOverflow, LaurentPoly
 
+from det_oracle import oracle_unit_steps
 from poly_oracle import oracle_add, oracle_addmul_terms, oracle_exact_div, oracle_mul
 
 LIMIT = EXPONENT_LIMIT
@@ -171,7 +179,8 @@ def check_difference(a, b):
 
 
 def check_unit_step(u, e, a, f):
-    """The one update of a unit step on [[u, e], [a, f]] is f - a*(e/u)."""
+    """The one update of a unit step on [[u, e], [a, f]] is f - a*(e/u), and
+    the product of the pivots is u, with u's bound."""
     ((uk, uc),) = u.terms.items()
     inv = LaurentPoly(VARS, {tuple(-x for x in uk): uc})
     scaled = oracle_addmul_terms({}, e, inv)
@@ -189,7 +198,11 @@ def check_unit_step(u, e, a, f):
         assert rings._unit_steps(rows, VARS) is None  # the row emptied
         return
     nominal = max(0 if f is None else f._bound, a._bound + scaled_bound)
-    _expect(lambda: rings._unit_steps(rows, VARS) and rows[1][1], expected, nominal)
+    steps = []
+    _expect(lambda: steps.append(rings._unit_steps(rows, VARS)) or rows[1][1], expected, nominal)
+    if steps:
+        _, unit, _, _ = steps[0]
+        assert unit == u and unit._bound == u._bound
 
 
 def check_bareiss_update(p, e, a, f):
@@ -273,6 +286,71 @@ def test_kernel_matches_the_oracle_on_drawn_polynomials(a, b, c, d, empty):
     unit = LaurentPoly(VARS, {mk[:2] + (0,) + mk[3:]: 1 if mc > 0 else -1})
     if len(b.terms) > 1 and len(c.terms) > 1:
         check_unit_step(unit, b, c, None if empty else d)
+
+
+def _unit_steps_outcome(steps, rows):
+    """steps(rows) on a copy of the rows: "overflow" if it raises
+    ExponentOverflow, else its result with the unit's bound, and every entry
+    left, with its bound, row by row."""
+    rows = [dict(row) for row in rows]
+    try:
+        result = steps(rows, VARS)
+    except ExponentOverflow:
+        return "overflow"
+    if result is not None:
+        sign, unit, live_rows, live_cols = result
+        result = sign, unit.terms, unit._bound, live_rows, live_cols
+    return result, [{j: (e.terms, e._bound) for j, e in row.items()} for row in rows]
+
+
+def _edge_matrix(rng, exps):
+    """A square sparse matrix of 2-5 rows whose cells are zero, a unit (a
+    signed q-free monomial) or a polynomial, with exponents from ``exps``."""
+    n = rng.randint(2, 5)
+    rows = []
+    for _ in range(n):
+        row = {}
+        for j in range(n):
+            draw = rng.random()
+            if draw < 0.4:
+                row[j] = LaurentPoly(VARS, {tuple(0 if v == "q" else rng.choice(exps) for v in VARS): rng.choice((-1, 1))})
+            elif draw < 0.7:
+                row[j] = rand_poly(rng, VARS, exps, 3)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("exps", EXPONENT_SETS.values(), ids=EXPONENT_SETS.keys())
+def test_unit_steps_match_the_oracle(exps):
+    rng = random.Random(20261022)
+    seen = set()
+    for _ in range(300):
+        rows = _edge_matrix(rng, exps)
+        got = _unit_steps_outcome(rings._unit_steps, rows)
+        assert got == _unit_steps_outcome(oracle_unit_steps, rows)
+        if got == "overflow" or got[0] is None:
+            seen.add("overflow" if got == "overflow" else "emptied")
+        else:
+            seen.add(min(len(rows) - len(got[0][3]), 2))  # steps taken, 2 standing for 2 or more
+    assert seen >= {"emptied", 0, 1, 2} | ({"overflow"} if exps is EXPONENT_SETS["edge"] else set())
+
+
+def test_unit_product_bound_at_the_limit():
+    def t(e):
+        return LaurentPoly.monomial(VARS, 1, t=e)
+
+    x = LaurentPoly.monomial(VARS, 1, x1=1)
+    # the summed bound reaches the limit and the product's exponents do not:
+    # the product is 1, with its exact bound 0
+    rows = [{0: t(LIMIT - 1), 1: x}, {1: t(1 - LIMIT)}]
+    for steps in (rings._unit_steps, oracle_unit_steps):
+        sign, unit, live_rows, _ = steps([dict(row) for row in rows], VARS)
+        assert (sign, unit, unit._bound, live_rows) == (1, LaurentPoly.const(VARS, 1), 0, [])
+    # an exponent of the product reaches the limit
+    rows = [{0: t(LIMIT // 2)}, {1: t(LIMIT // 2)}]
+    for steps in (rings._unit_steps, oracle_unit_steps):
+        with pytest.raises(ExponentOverflow):
+            steps([dict(row) for row in rows], VARS)
 
 
 def _kinks(count):
