@@ -152,6 +152,9 @@ def cmd_dump_matrix(args):
     for d in _load(args.file, args.lenient):
         m = _matrix_for(d, args.type)
         if args.json:
+            # each key is printed once per nonzero cell of its row or column
+            rows = {k: str(k) for k in m.row_keys}
+            cols = {k: str(k) for k in m.col_keys}
             print(
                 _dumps(
                     {
@@ -159,7 +162,7 @@ def cmd_dump_matrix(args):
                         "ring": m.tag,
                         "shape": list(m.shape),
                         "entries": [
-                            {"row": str(r), "col": str(c), "value": v}
+                            {"row": rows[r], "col": cols[c], "value": v}
                             for r, c, v in m.triples()
                         ],
                     }

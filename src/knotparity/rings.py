@@ -61,15 +61,19 @@ of the free ring and of all four images, and the steps need no division at
 all, so they run once for the four images.  Their product u is a signed
 monomial, kept while they run as one packed key, a sign and a bound, and
 each division by a pivot is a key shift.  u is folded into the first row
-of the Schur complement they leave; only that complement goes through
-``from_raw``.  A complement of one row is its own determinant; each image
-of a larger one is finished by ``_bareiss_det``, textbook fraction-free
+of the Schur complement S they leave.  An S of at most EXPAND_ROWS = 3
+rows is expanded along that row over the free ring (``_expanded_det``),
+with no division, and only the one polynomial that gives goes through
+``from_raw``: the map is a ring homomorphism, so that is the image of the
+determinant.  A larger S goes through ``from_raw`` entry by entry, and
+each of its images is finished by ``_bareiss_det``, textbook fraction-free
 Bareiss elimination, whose every division is exact.  q itself is never a
 pivot: it has no inverse in the quotient.
 
 One kernel, ``_addmul``, does every multiply-accumulate r += sign*a*b on
 packed term dicts: products (r empty), the row updates of both
-eliminations and the cells of a matrix (``matrix._fill``), each in one dict
+eliminations, the expansion of a small Schur complement and the cells of a
+matrix (``matrix._fill``), each in one dict
 with no throwaway polynomial; a sum or a difference is one pass over the
 second operand's terms.  Most products on the determinant path have a
 one-term factor (a role coefficient times a label monomial, the folded u),
@@ -109,9 +113,12 @@ is what Bareiss forms on each image of it: at most 2*N*E in the free ring
 and in every image.  Folding u into the first row turns the minors through
 that row into u times minors of the complement, which are minors of the
 matrix itself, at most N*E.  A product formed before a division multiplies
-two of them, so every intermediate stays within 4*N*E <= 4*T^2 = 1.6e9 <
-2^32 = EXPONENT_LIMIT, which FIELD_BITS = 34 gives; ``ExponentOverflow``
-stays the guard at run time.  No hot path of the package unpacks keys into tuples:
+two of them.  The expansion of a small S multiplies an entry of its folded
+first row, at most N*E, by a minor of its other rows, at most 2*N*E, and
+each of its 2x2 minors multiplies two entries of S, each at most 2*N*E.
+So every intermediate stays within 4*N*E <= 4*T^2 = 1.6e9 < 2^32 =
+EXPONENT_LIMIT, which FIELD_BITS = 34 gives; ``ExponentOverflow`` stays
+the guard at run time.  No hot path of the package unpacks keys into tuples:
 the tuple-keyed ``terms`` view is for callers outside it, such as the
 tests.  ``from_raw``, ``subs_one``, ``div_linear`` and ``exponent_range``
 read each exponent they need off its field, ``exact_div`` reads each
@@ -206,8 +213,9 @@ def _addmul(r, a, b, sign=1):
     """r + sign*a*b on packed term dicts: r is updated in place and returned.
 
     This is the one multiply-accumulate of the package: products (r empty),
-    the row updates of both eliminations in ``det`` and the cells of
-    ``matrix._fill`` go through it.  A term of r that cancels is deleted at
+    the row updates of both eliminations in ``det``, the expansion of a
+    small rest (``_expanded_det``) and the cells of ``matrix._fill`` go
+    through it.  A term of r that cancels is deleted at
     once: a sum of two nonzero ints is zero only when the key was already
     in r.  When r is empty and one factor is a monomial the product is a key
     shift, returned as a new dict: distinct keys stay distinct and a
@@ -781,13 +789,15 @@ def det(rows, ring):
     free ring, once for all four images.  With u the product of those
     pivots and S the Schur complement they leave, det M = +-u * det S, the
     determinant of S with its first row multiplied by +-u.  That fold is a
-    key shift, since u is a monomial, and it changes no term count in any
-    image, so ``_bareiss_det`` takes the pivots it would take on S; only the
-    entries of the folded S go through ``from_raw``, and ``_bareiss_det``
-    finishes each image of it when S has two rows or more.  An S of one
-    row is its own determinant: the value is the image of its one folded
-    entry, or zero when that row is empty.  When no row is left, the value
-    is the image of +-u itself.  q is never taken as a pivot: it has no
+    key shift, since u is a monomial.  When no row is left, the value is
+    the image of +-u itself.  An S of at most EXPAND_ROWS rows is expanded
+    along its folded first row over the free ring (``_expanded_det``), an
+    integral domain, and the one polynomial that gives goes through
+    ``from_raw``, a ring homomorphism: so a one-row S gives its folded
+    entry, or zero, and a two-row S gives ad - bc.  A larger S goes through
+    ``from_raw`` entry by entry and ``_bareiss_det`` finishes each of its
+    images; the fold changes no term count in any image, so Bareiss takes
+    the pivots it would take on S.  q is never taken as a pivot: it has no
     inverse in the quotient.  A row the free-ring steps empty makes the
     determinant zero in all four images.  The 0x0 determinant is the ring
     one.
@@ -811,20 +821,60 @@ def det(rows, ring):
     sign, unit, live_rows, live_cols = steps
     if sign < 0:
         unit = -unit
-    if live_rows:
-        first = sparse[live_rows[0]]
-        for j, e in first.items():
-            first[j] = e * unit
-        if len(live_rows) == 1:
-            # a one-row rest is its own determinant: its entry in the one live column
-            return ring.from_raw(*first.values()) if first else ring.zero()
+    if not live_rows:
+        return ring.from_raw(unit)
+    rest = [sparse[i] for i in live_rows]
+    first = rest[0]
+    for j, e in first.items():
+        first[j] = e * unit
+    if len(rest) <= EXPAND_ROWS:
+        return ring.from_raw(_expanded_det(rest, live_cols, full))
     place = {j: k for k, j in enumerate(live_cols)}
-    rest = [[(place[j], ring.from_raw(e).parts) for j, e in sparse[i].items()] for i in live_rows]
+    rest = [[(place[j], ring.from_raw(e).parts) for j, e in row.items()] for row in rest]
     images = tuple(
         _bareiss_det([{j: parts[c] for j, parts in row if parts[c]._terms} for row in rest], ring.vars)
         for c in range(4)
     )
-    return QElement(ring, images) if live_rows else ring.from_raw(unit)
+    return QElement(ring, images)
+
+
+EXPAND_ROWS = 3
+"""The most rows a Schur complement left by the unit steps may have for ``det``
+to expand it over the free ring (``_expanded_det``); a larger one is finished
+by ``_bareiss_det`` on each image.  Time per rest, mean [median], on the
+rests of seeded 8-60-crossing diagrams (2-core x86-64, CPython 3.11.7),
+expanded against per image: 3 rows 2.5 [1.3] against 3.6 [2.6] ms, 4 rows
+36 [10] against 27 [11] ms, 5 rows 362 [240] against 51 [36] ms, 6 rows
+1085 [428] against 201 [24] ms.  Four rows is a tie, and no benchmark
+workload leaves such a rest."""
+
+
+def _expanded_det(rows, cols, vars):
+    """Determinant over the free ring of the sparse ``rows`` restricted to ``cols``.
+
+    Expands along the first row: an entry times the minor of the other rows
+    without its column, signs alternating along ``cols``.  Each product is
+    one ``_addmul`` into the running sum, with no division, and a minor of
+    two rows or more goes through ``_poly``, so both factors of a product
+    keep their exponents below EXPONENT_LIMIT and its keys stay inside
+    their fields.  The bound of the sum is the largest of its products'
+    bounds.  Costs grow as the factorial of the
+    row count, so ``det`` calls it on at most EXPAND_ROWS rows.
+    """
+    first = rows[0]
+    if len(rows) == 1:
+        e = first.get(cols[0])
+        return LaurentPoly.zero(vars) if e is None else e
+    terms, bound = {}, 0
+    for k, j in enumerate(cols):
+        e = first.get(j)
+        if e is None:
+            continue
+        minor = _expanded_det(rows[1:], cols[:k] + cols[k + 1 :], vars)
+        if minor._terms:
+            terms = _addmul(terms, e._terms, minor._terms, -1 if k % 2 else 1)
+            bound = max(bound, e._bound + minor._bound)
+    return _poly(vars, terms, bound)
 
 
 def _unit_steps(rows, vars):

@@ -1,7 +1,8 @@
 """Differential tests of ``rings.det`` against independent oracles.
 
-``rings.det`` takes unit steps over the free Laurent ring, then finishes
-each of the four images of what they leave by Bareiss elimination;
+``rings.det`` takes unit steps over the free Laurent ring, then expands
+what they leave over the free ring when it has at most three rows, and
+finishes each of its four images by Bareiss elimination when it is larger;
 ``det_oracle.berkowitz_det`` runs the division-free Berkowitz recurrence on
 whole elements, and ``det_oracle.per_image_det`` runs textbook Bareiss on
 the four images of the whole matrix, with no unit steps.  All must agree
@@ -14,10 +15,12 @@ pivot on one.
 Seeded matrices are built to leave the Bareiss steps a known rest: no unit
 entry (the whole matrix), a signed permutation of units and a triangle
 with unit diagonal (an empty rest), and a row emptied by the unit steps
-(no rest at all).  A rest of one row is its own determinant and reaches no
-Bareiss call; a rest of two rows or more reaches it at full size in all
-four images.  Diagrams of 25-45 crossings leave rests of more than a
-few rows, where Bareiss divides.  Diagrams of 25-60 crossings, beyond the
+(no rest at all).  A rest of at most ``rings.EXPAND_ROWS`` = 3 rows is
+expanded and reaches no Bareiss call; a rest of four rows or more reaches
+it at full size in all four images.  Diagrams of 25-45 crossings leave
+rests of more than a few rows, where Bareiss divides.  Unit-free matrices
+of one to five rows, and rests whose products reach ``EXPONENT_LIMIT``,
+check the expansion itself.  Diagrams of 25-60 crossings, beyond the
 exact oracles' reach, are checked by evaluating every image at a seeded
 random point modulo 2^61 - 1 (``det_oracle.det_images_mod_p``).
 """
@@ -65,7 +68,7 @@ def bareiss_sizes(monkeypatch):
     """bareiss_sizes(rows, ring) runs ``det`` and lists the row count of
     each image of the Schur complement that it hands to ``_bareiss_det``:
     four counts, or none when the free-ring unit steps empty a row or leave
-    a rest of one row."""
+    a rest of at most ``rings.EXPAND_ROWS`` rows, which ``det`` expands."""
     sizes = []
     bareiss = rings._bareiss_det
 
@@ -117,7 +120,7 @@ def _unit_steps_of(entries, ring):
 
 def _sizes_for(steps):
     """The sizes ``bareiss_sizes`` lists for a matrix whose unit steps return ``steps``."""
-    if steps is None or len(steps[2]) == 1:
+    if steps is None or len(steps[2]) <= rings.EXPAND_ROWS:
         return []
     return [len(steps[2])] * 4
 
@@ -178,9 +181,9 @@ def test_det_without_unit_entries_is_the_bareiss_loop(bareiss_sizes):
         n = rng.randint(1, 5)
         rows = _non_unit_rows(rng, ring, n, n)
         _checked_det(rows, ring)
-        # no unit step: every image gets the whole matrix, unless it has
-        # one row, which is its own determinant
-        assert bareiss_sizes(rows, ring) == ([n] * 4 if n > 1 else [])
+        # no unit step: every image gets the whole matrix, unless it has at
+        # most three rows, which are expanded
+        assert bareiss_sizes(rows, ring) == ([n] * 4 if n >= 4 else [])
 
 
 def test_det_of_signed_unit_permutations(bareiss_sizes):
@@ -194,7 +197,7 @@ def test_det_of_signed_unit_permutations(bareiss_sizes):
         for i, j in enumerate(perm):
             rows[i][j] = _unit(rng, ring)
         value = _checked_det(rows, ring)
-        assert bareiss_sizes(rows, ring) == [0] * 4
+        assert bareiss_sizes(rows, ring) == []
         product = LaurentPoly.const(ring.full_vars, 1)
         for i, j in enumerate(perm):
             product = product * rows[i][j]
@@ -215,7 +218,7 @@ def test_det_of_unit_triangles_needs_no_bareiss(bareiss_sizes):
             row[i] = _unit(rng, ring)
         rows = _shuffled(rng, rows)
         value = _checked_det(rows, ring)
-        assert bareiss_sizes(rows, ring) == [0] * 4
+        assert bareiss_sizes(rows, ring) == []
         assert not any(x.is_zero for x in value.parts)
 
 
@@ -236,12 +239,85 @@ def test_det_zero_when_unit_steps_empty_a_row(bareiss_sizes):
 
 def test_det_takes_no_unit_step_after_a_bareiss_step(bareiss_sizes):
     # no entry is a unit, but the first Bareiss step (pivot 2) turns row 1
-    # into (1, 4): a unit step on that 1 would skip the division by 2 that
-    # the last Bareiss step owes, and give -12
+    # into (1, 4, 0, 0): a unit step on that 1 would skip a division by 2
+    # that a later Bareiss step owes.  The 3x3 block of det -6 sits in a
+    # 4x4 matrix, since a rest of three rows would be expanded.
     for ring in RINGS:
-        rows = [[LaurentPoly.const(ring.full_vars, c) for c in row] for row in ((2, 3, 0), (3, 5, 2), (0, 2, 2))]
-        assert _checked_det(rows, ring) == ring.element(-6)
-        assert bareiss_sizes(rows, ring) == [3] * 4
+        block = ((2, 3, 0, 0), (3, 5, 2, 0), (0, 2, 2, 0), (0, 0, 0, 3))
+        rows = [[LaurentPoly.const(ring.full_vars, c) for c in row] for row in block]
+        assert _checked_det(rows, ring) == ring.element(-18)
+        assert bareiss_sizes(rows, ring) == [4] * 4
+
+
+def _unit_free_entry(rng, ring):
+    """Zero (25 %), a non-unit, or q times a unit or a non-unit: never a unit."""
+    x = rng.random()
+    if x < 0.25:
+        return _zero(ring)
+    if x < 0.6:
+        return _non_unit(rng, ring)
+    q = LaurentPoly.monomial(ring.full_vars, q=1)
+    return q * (_unit(rng, ring) if x < 0.8 else _non_unit(rng, ring))
+
+
+def test_expansion_matches_both_oracles_on_unit_free_matrices(bareiss_sizes):
+    """A matrix with no unit entry is its own rest.  At one to three rows
+    ``det`` expands it over the free ring and makes no Bareiss call; at four
+    or five it hands each image to ``_bareiss_det`` once, at full size.
+    Every value matches Berkowitz and the per-image oracle, and a repeated
+    row gives zero."""
+    rng = random.Random(2090)
+    for trial in range(90):
+        ring = RINGS[trial % 3]
+        n = trial % 5 + 1
+        rows = [[_unit_free_entry(rng, ring) for _ in range(n)] for _ in range(n)]
+        matrices = [rows]
+        if n > 1:
+            i, k = rng.sample(range(n), 2)
+            repeated = list(rows)
+            repeated[k] = rows[i]
+            assert _checked_det(repeated, ring).is_zero
+            matrices.append(repeated)
+        _checked_det(rows, ring)
+        for m in matrices:
+            assert bareiss_sizes(m, ring) == ([n] * 4 if n > rings.EXPAND_ROWS else [])
+
+
+@pytest.mark.parametrize("excess", (0, 1))
+def test_expansion_at_the_exponent_limit(bareiss_sizes, excess):
+    """Two- and three-row rests whose products reach t^(L - 1 + excess), L =
+    ``EXPONENT_LIMIT``: at the limit ``det`` raises ``ExponentOverflow``,
+    just below it matches both oracles.  The three-row rests reach the
+    limit once in a 2x2 minor and once only in an entry times its minor.
+    No entry is a unit, so each matrix is its own rest."""
+    top = rings.EXPONENT_LIMIT - 1 + excess
+    half = rings.EXPONENT_LIMIT // 2
+    for ring in RINGS:
+        full = ring.full_vars
+
+        def two(e=0):
+            return LaurentPoly.monomial(full, 2, t=e)
+
+        zero = _zero(ring)
+        # each matrix with the (coefficient, t exponent) terms of its determinant
+        cases = [
+            # 4t^top - 4
+            ([[two(half), two()], [two(), two(top - half)]], ((4, top), (-4, 0))),
+            # 2 * (2t^half * 2t^(top - half)) + 2 * 2 * 2: the minor reaches t^top
+            ([[two(), two(), zero], [zero, two(half), two()], [two(), zero, two(top - half)]],
+             ((8, top), (8, 0))),
+            # -2t^half * (2 * 2t^(top - half)) - 2 * 2t * 2: the minor stays at t^(top - half)
+            ([[two(), two(half), zero], [two(), zero, two(1)], [zero, two(), two(top - half)]],
+             ((-8, top), (-8, 1))),
+        ]
+        for rows, terms in cases:
+            if excess:
+                with pytest.raises(rings.ExponentOverflow):
+                    det(rows, ring)
+            else:
+                expected = ring.from_raw(LaurentPoly(full, {(e, 0, 0) + (0,) * len(ring.extras): c for c, e in terms}))
+                assert _checked_det(rows, ring) == expected
+                assert bareiss_sizes(rows, ring) == []
 
 
 def test_det_matches_both_oracles_on_mixed_matrices():
@@ -277,8 +353,9 @@ def test_unit_fold_leaves_the_rest_bareiss_sees(bareiss_sizes, monkeypatch):
     of the rest before mapping it into the ring.  u is a signed monomial in
     every image, so Bareiss gets the rest's size, and in every image each
     cell's term count, as with the rest unfolded; its pivot rule reads only
-    those, so it takes the same pivots.  A rest of one row reaches no
-    Bareiss call."""
+    those, so it takes the same pivots.  A rest of at most three rows is
+    expanded and reaches no Bareiss call; diagrams of 25-45 crossings leave
+    rests of four rows or more."""
     seen = []
     bareiss = rings._bareiss_det
 
@@ -288,7 +365,7 @@ def test_unit_fold_leaves_the_rest_bareiss_sees(bareiss_sizes, monkeypatch):
 
     rng = random.Random(2071)
     diagrams = [d for fixture in ("torus_pair.surf", "sample.gauss") for d in parse_file(FIXTURES / fixture)[0]]
-    diagrams += [random_diagram(rng, rng.randint(8, 30), rng.randint(0, 2)) for _ in range(12)]
+    diagrams += [random_diagram(rng, rng.randint(25, 45), rng.randint(0, 2)) for _ in range(12)]
     rests = 0
     for d in diagrams:
         for m, rows, ring in _invariant_matrices(d):
@@ -307,8 +384,8 @@ def test_unit_fold_leaves_the_rest_bareiss_sees(bareiss_sizes, monkeypatch):
             assert seen == ([
                 [{j: len(parts[c]._terms) for j, parts in row if parts[c]._terms} for row in unfolded]
                 for c in range(4)
-            ] if len(live_rows) != 1 else [])
-            rests += len(live_rows) > 1
+            ] if len(live_rows) > rings.EXPAND_ROWS else [])
+            rests += len(live_rows) > rings.EXPAND_ROWS
     assert rests > 5
 
 
