@@ -26,15 +26,18 @@ monomial of the incidence, the product of the ring's extra variables
 (x1..x2g, or s) raised to its label entries; the presentation's labels are
 empty.  Those variables are the last of the ring's, so the packed key of
 the label is the key of its monomial, and ``_fill`` adds each coefficient's
-terms, their keys shifted by it, into one packed term dict per cell, which
-becomes a polynomial once the walk is done.
+terms, their keys shifted by it, into one packed term dict per cell.
 
-All three matrices hold one entry type: plain ``LaurentPoly`` values over
-the free ring, ``ring.full_vars`` for the two determinant matrices and
-``RAW_VARS`` for the presentation.  The relations of a quotient ring matter
-only to a determinant, so ``InvariantMatrix.det`` hands the entries to
-``rings.det`` as built, which maps into the quotient ring only what its
-unit steps over the free ring leave.  Each entry of the
+All three matrices hold one cell form: per row, {column index: (packed
+terms, bound)} over the nonzero cells, over the free ring on
+``ring.full_vars`` for the two determinant matrices and on ``RAW_VARS``
+for the presentation; ``InvariantMatrix.cells`` keeps them as ``_fill``
+returns them.  The relations of a quotient ring matter only to a
+determinant, so ``InvariantMatrix.det`` hands the cells to ``rings.det``
+as built, which keeps them packed through its unit steps over the free
+ring and maps into the quotient ring only what they leave.  The dense grid
+of ``LaurentPoly`` values, ``InvariantMatrix.entries``, is built on first
+use, for rendering and for callers that want every entry.  Each entry of the
 two determinant matrices is a sum of role coefficients times label
 monomials, so it has p-degree and q-degree at most 1 and a p-free q-part:
 it is already the canonical pair of its image and renders as built.
@@ -75,44 +78,55 @@ class ParityIncomplete(ValueError):
 class InvariantMatrix:
     tag: str              # "G" | "Rprime" | "Rraw"
     ring: object          # the QuotientRing of the determinant; None for "Rraw"
-    entries: tuple        # tuple of row tuples of LaurentPoly
+    cells: tuple          # per row, {column index: (packed terms, bound)} of its nonzero cells
     row_keys: tuple
     col_keys: tuple
 
     @property
+    def vars(self):
+        return RAW_VARS if self.ring is None else self.ring.full_vars
+
+    @property
     def shape(self):
-        return (len(self.entries), len(self.col_keys))
+        return (len(self.row_keys), len(self.col_keys))
+
+    @functools.cached_property
+    def entries(self):
+        """The dense grid, a tuple of row tuples of ``LaurentPoly``, built from
+        the cells on first use, for rendering and for callers that want
+        every entry; empty cells share one zero."""
+        zero, width = LaurentPoly.zero(self.vars), range(len(self.col_keys))
+        return tuple(tuple(rings._poly(self.vars, *row[j]) if j in row else zero for j in width) for row in self.cells)
 
     def render_rows(self):
         return ["\t".join(e.render() for e in row) for row in self.entries]
 
     def triples(self):
-        """(row key, column key, rendered entry) of every nonzero cell, row by row.
+        """(row key, column key, rendered entry) of every nonzero cell, row by
+        row and, within a row, in column order.
 
         A matrix repeats few distinct entries (the presentation's are a
         handful of signed role monomials), so each is rendered once, through
         a memo keyed by its terms that lives for this call only.
         """
-        out = []
-        rendered = {}
-        for rk, row in zip(self.row_keys, self.entries):
-            for ck, e in zip(self.col_keys, row):
-                if e._terms:
-                    terms = tuple(e._terms.items())
-                    text = rendered.get(terms)
-                    if text is None:
-                        text = rendered[terms] = e.render()
-                    out.append((rk, ck, text))
+        vars, out, rendered = self.vars, [], {}
+        for rk, row in zip(self.row_keys, self.cells):
+            for j, (terms, bound) in sorted(row.items()):
+                key = tuple(terms.items())
+                text = rendered.get(key)
+                if text is None:
+                    text = rendered[key] = rings._poly(vars, terms, bound).render()
+                out.append((rk, self.col_keys[j], text))
         return out
 
     def det(self):
-        """The determinant in ``ring``, of the entries as built over the free ring.
+        """The determinant in ``ring``, of the cells as built over the free ring.
 
         The presentation matrix has no ring and raises ValueError.
         """
         if self.ring is None:
             raise ValueError(f"the {self.tag} presentation matrix has no determinant")
-        return rings.det(self.entries, self.ring)
+        return rings.det(self.cells, self.ring)
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,7 +147,7 @@ def _role_table(vars):
 
 
 def _fill(vars, extras, table, rows, cols, rule):
-    """Grid over ``rows`` x ``cols`` filled from the arcs of ``table``.
+    """The nonzero cells over ``rows`` x ``cols`` filled from the arcs of ``table``.
 
     Arc j's column is keyed (origin_kind, origin).  Each incidence of the arc
     adds, for every (row key, coefficient) pair of ``rule(inc)``, coefficient
@@ -143,14 +157,17 @@ def _fill(vars, extras, table, rows, cols, rule):
     key shift: every term of the coefficient is added, its key shifted by
     the label's, into one packed term dict per cell.  A cell's bound is the
     largest over its contributions of the coefficient's bound plus the
-    label's largest absolute exponent, as the bound of a sum of products;
-    each cell written to becomes one polynomial over ``vars``, and empty
-    cells share one zero.
+    label's largest absolute exponent, as the bound of a sum of products,
+    replaced by the exact one once it reaches EXPONENT_LIMIT.  A cell's
+    first contribution is a key shift into a new dict; later ones are added
+    into it by ``rings._addmul``.  Returns, per row, {column index: (terms,
+    bound)}: the packed sparse rows that ``rings.det`` takes, with cells
+    whose contributions cancel dropped.
     """
     ridx = {k: i for i, k in enumerate(rows)}
     cidx = {k: j for j, k in enumerate(cols)}
-    labels = {}  # label -> (its monomial as packed terms {key: 1}, its bound)
-    cells = {}  # (row, column) -> [packed terms, bound]
+    labels = {}  # label -> (its monomial's packed key, its bound)
+    grid = [{} for _ in rows]  # per row, column -> [packed terms, bound]
     for arc in table:
         j = cidx[arc.origin_kind, arc.origin]
         for inc in arc.incidences:
@@ -159,20 +176,19 @@ def _fill(vars, extras, table, rows, cols, rule):
                 reach = max(map(abs, inc.label), default=0)
                 if reach >= rings.EXPONENT_LIMIT:
                     raise rings.ExponentOverflow(f"exponent {reach} is past the limit {rings.EXPONENT_LIMIT - 1}")
-                label = labels[inc.label] = {rings._pack(inc.label): 1}, reach
-            mono, reach = label
+                label = labels[inc.label] = rings._pack(inc.label), reach
+            shift, reach = label
             for key, coef in rule(inc):
-                cell = cells.get((ridx[key], j))
+                row = grid[ridx[key]]
+                cell = row.get(j)
                 if cell is None:
-                    cells[ridx[key], j] = [rings._addmul({}, coef._terms, mono), coef._bound + reach]
+                    row[j] = [{k + shift: v for k, v in coef._terms.items()}, coef._bound + reach]
                 else:
-                    rings._addmul(cell[0], coef._terms, mono)
+                    rings._addmul(cell[0], coef._terms, {shift: 1})
                     cell[1] = max(cell[1], coef._bound + reach)
-    zero = LaurentPoly.zero(vars)
-    grid = [[zero] * len(cols) for _ in rows]
-    for (i, j), (terms, bound) in cells.items():
-        grid[i][j] = rings._poly(vars, terms, bound)
-    return tuple(tuple(row) for row in grid)
+    limit = rings.EXPONENT_LIMIT
+    return tuple({j: (t, b) if b < limit else rings._cell(len(vars), t, b) for j, (t, b) in row.items() if t}
+                 for row in grid)
 
 
 def build_M(d, par):
@@ -199,8 +215,8 @@ def build_M(d, par):
             return [(site, vertex_roles[inc.role])]
         return [(site, roles[par[inc.site] == EVEN, d.sign_of(inc.site) > 0][inc.role])]
 
-    grid = _fill(ring.full_vars, ring.extras, arcs(d), keys, keys, rule)
-    return InvariantMatrix("G", ring, grid, keys, keys)
+    cells = _fill(ring.full_vars, ring.extras, arcs(d), keys, keys, rule)
+    return InvariantMatrix("G", ring, cells, keys, keys)
 
 
 def build_Npp(d, types):
@@ -218,8 +234,8 @@ def build_Npp(d, types):
     def rule(inc):
         return [(inc.site, roles[types[inc.site] == 2, d.sign_of(inc.site) > 0][inc.role])]
 
-    grid = _fill(ring.full_vars, ring.extras, table, keep, [("crossing", c) for c in keep], rule)
-    return InvariantMatrix("Rprime", ring, grid, keep, keep)
+    cells = _fill(ring.full_vars, ring.extras, table, keep, [("crossing", c) for c in keep], rule)
+    return InvariantMatrix("Rprime", ring, cells, keep, keep)
 
 
 # -- module presentation over the big ring -----------------------------------

@@ -55,29 +55,31 @@ which raises on an inexact input and never rounds.
 The quotient rings have zero divisors, but the free Laurent ring and each
 image lie over Z, and are integral domains.  A determinant (see ``det``)
 starts over the free ring on ``full_vars`` with plain Gaussian steps on
-pivots that are signed monomials free of q, such as -1, t or -p*x1^-2
-(every crossing row of the invariant matrices holds one).  Those are units
-of the free ring and of all four images, and the steps need no division at
-all, so they run once for the four images.  Their product u is a signed
-monomial, kept while they run as one packed key, a sign and a bound, and
-each division by a pivot is a key shift.  u is folded into the first row
-of the Schur complement S they leave.  An S of at most EXPAND_ROWS = 3
-rows is expanded along that row over the free ring (``_expanded_det``),
-with no division, and only the one polynomial that gives goes through
-``from_raw``: the map is a ring homomorphism, so that is the image of the
-determinant.  A larger S goes through ``from_raw`` entry by entry, and
-each of its images is finished by ``_bareiss_det``, textbook fraction-free
-Bareiss elimination, whose every division is exact.  q itself is never a
-pivot: it has no inverse in the quotient.
+pivots that are signed monomials free of q, such as -1, t or -p*x1^-2 (every
+crossing row of the invariant matrices holds one).  Those are units of the
+free ring and of all four images, and the steps need no division at all, so
+they run once for the four images.  Their product u is a signed monomial,
+kept while they run as one packed key, a sign and a bound, and each division
+by a pivot is a key shift.  u is folded into the first row of the Schur
+complement S they leave; a matrix of at most EXPAND_ROWS = 3 rows takes no
+step and is its own S.  The cells stay packed term dicts with a bound, as
+``matrix._fill`` makes them, until only S is left.  An S of at most
+EXPAND_ROWS rows is expanded along that row over the free ring
+(``_expanded_det``), with no division, and only the one polynomial that
+gives goes through ``from_raw``: the map is a ring homomorphism, so that is
+the image of the determinant.  A larger S goes through ``from_raw`` entry by
+entry, and each of its images is finished by ``_bareiss_det``, textbook
+fraction-free Bareiss elimination, whose every division is exact.  q itself
+is never a pivot: it has no inverse in the quotient.
 
 One kernel, ``_addmul``, does every multiply-accumulate r += sign*a*b on
-packed term dicts: products (r empty), the row updates of both
-eliminations, the expansion of a small Schur complement and the cells of a
-matrix (``matrix._fill``), each in one dict
-with no throwaway polynomial; a sum or a difference is one pass over the
-second operand's terms.  Most products on the determinant path have a
-one-term factor (a role coefficient times a label monomial, the folded u),
-and such a product is a key shift.
+packed term dicts: products (r empty), the row updates of both eliminations,
+the expansion of a small Schur complement and the cells of a matrix that
+more than one incidence writes to (``matrix._fill``), each in one dict with
+no throwaway polynomial; a sum or a difference is one pass over the second
+operand's terms.  Most products on the determinant path have a one-term
+factor (a role coefficient times a label monomial, the folded u), and such a
+product is a key shift.
 
 Packed exponents (after Monagan and Pearce, "Parallel sparse polynomial
 multiplication using heaps", 2009).  A ``LaurentPoly`` over n variables keys
@@ -183,27 +185,30 @@ def _unpack(key, n):
     return tuple([((u >> s) & _MASK) - _HALF for s in shifts])
 
 
-def _exact_bound(n, keys):
-    """The largest absolute exponent of the packed ``keys`` over n variables;
-    raises ExponentOverflow if it reaches EXPONENT_LIMIT.
+def _cell(n, terms, bound):
+    """(terms, bound) for packed terms over n variables whose exponents are at
+    most ``bound`` in absolute value, the cell form ``det`` takes.
 
-    The keys come from operands whose exponents lie below EXPONENT_LIMIT,
-    so no key has carried out of a field.
+    A bound at or past EXPONENT_LIMIT is replaced by the exact one, the
+    largest absolute exponent read off the keys, which raises
+    ExponentOverflow if it reaches the limit too.  The keys come from
+    operands whose exponents lie below EXPONENT_LIMIT, so no key has carried
+    out of a field.
     """
-    bound = max((max(map(abs, _unpack(k, n))) for k in keys), default=0)
     if bound >= EXPONENT_LIMIT:
-        raise ExponentOverflow(f"exponent {bound} is past the limit {EXPONENT_LIMIT - 1}")
-    return bound
+        bound = max((max(map(abs, _unpack(k, n))) for k in terms), default=0)
+        if bound >= EXPONENT_LIMIT:
+            raise ExponentOverflow(f"exponent {bound} is past the limit {EXPONENT_LIMIT - 1}")
+    return terms, bound
 
 
 def _poly(vars, packed, bound):
     """A LaurentPoly over packed terms whose exponents are at most ``bound`` in absolute value.
 
-    A bound at or past the limit is replaced by the exact one, read off the
-    terms (``_exact_bound``).
+    A bound at or past the limit is replaced by the exact one (``_cell``).
     """
     if bound >= EXPONENT_LIMIT:
-        bound = _exact_bound(len(vars), packed)
+        packed, bound = _cell(len(vars), packed, bound)
     poly = object.__new__(LaurentPoly)
     poly.vars, poly._terms, poly._bound, poly._div = vars, packed, bound, None
     return poly
@@ -778,64 +783,79 @@ RAW_VARS = ("t", "p", "q", "s", "r", "w")
 # Determinants
 
 
+def packed_rows(rows, vars):
+    """The packed sparse rows that ``det`` takes, from dense rows of ``LaurentPoly`` over ``vars``.
+
+    Row i becomes {j: (packed terms, bound)} over its nonzero entries.
+    Raises NonSquare when a row's length is not the row count, and
+    VariableSetMismatch when a nonzero entry is over other variables.
+    """
+    for row in rows:
+        if len(row) != len(rows):
+            raise NonSquare(f"{len(row)} entries in a row of a {len(rows)}-row matrix")
+        for e in row:
+            if e._terms and e.vars != vars:
+                raise VariableSetMismatch(f"{e.vars} vs {vars}")
+    return [{j: (e._terms, e._bound) for j, e in enumerate(row) if e._terms} for row in rows]
+
+
 def det(rows, ring):
     """Determinant of a square matrix over ``ring``.
 
-    ``rows`` is dense, and every entry is a ``LaurentPoly`` over
-    ``ring.full_vars``.  Each row is scanned once for its nonzero cells.
+    ``rows`` is sparse and packed: row i is {j: (terms, bound)} over its
+    nonzero cells, terms a packed term dict over ``ring.full_vars`` and
+    bound a bound on its exponents below EXPONENT_LIMIT, as
+    ``InvariantMatrix.cells`` holds them and ``packed_rows`` makes them from
+    dense rows.  Neither the rows nor their term dicts are changed.  A
+    column outside range(n) raises NonSquare; an empty row or column makes
+    the determinant zero before any step.
 
     A signed monomial free of q is a unit of the free Laurent ring and of
     every image, so ``_unit_steps`` first eliminates such pivots over the
-    free ring, once for all four images.  With u the product of those
+    free ring, once for all four images, on a copy of the rows; the cells
+    stay packed through the steps, and only what they leave becomes
+    ``LaurentPoly`` values, for ``from_raw``.  With u the product of those
     pivots and S the Schur complement they leave, det M = +-u * det S, the
-    determinant of S with its first row multiplied by +-u.  That fold is a
-    key shift, since u is a monomial.  When no row is left, the value is
-    the image of +-u itself.  An S of at most EXPAND_ROWS rows is expanded
-    along its folded first row over the free ring (``_expanded_det``), an
-    integral domain, and the one polynomial that gives goes through
-    ``from_raw``, a ring homomorphism: so a one-row S gives its folded
-    entry, or zero, and a two-row S gives ad - bc.  A larger S goes through
-    ``from_raw`` entry by entry and ``_bareiss_det`` finishes each of its
-    images; the fold changes no term count in any image, so Bareiss takes
-    the pivots it would take on S.  q is never taken as a pivot: it has no
-    inverse in the quotient.  A row the free-ring steps empty makes the
-    determinant zero in all four images.  The 0x0 determinant is the ring
-    one.
+    determinant of S with its first row multiplied by +-u; a matrix of at
+    most EXPAND_ROWS rows takes no step and is its own S, with u = 1.  That
+    fold is a key shift, since u is a monomial.  When no row is left, the
+    value is the image of +-u itself.  An S of at most EXPAND_ROWS rows is
+    expanded along its folded first row over the free ring
+    (``_expanded_det``), an integral domain, and the one polynomial that
+    gives goes through ``from_raw``, a ring homomorphism: so a one-row S
+    gives its folded entry, or zero, and a two-row S gives ad - bc.  A
+    larger S goes through ``from_raw`` entry by entry and ``_bareiss_det``
+    finishes each of its images; the fold changes no term count in any
+    image, so Bareiss takes the pivots it would take on S.  q is never taken
+    as a pivot: it has no inverse in the quotient.  A row the free-ring
+    steps empty makes the determinant zero in all four images.  The 0x0
+    determinant is the ring one.
     """
     n = len(rows)
+    cols = set().union(*rows)
+    if cols and (min(cols) < 0 or max(cols) >= n):
+        raise NonSquare(f"a column index outside range({n}) in a {n}-row matrix")
+    if len(cols) < n or not all(rows):
+        return ring.zero()
     full = ring.full_vars
-    sparse = []
-    for row in rows:
-        if len(row) != n:
-            raise NonSquare(f"{len(row)} entries in a row of a {n}-row matrix")
-        cells = {}
-        for j, e in enumerate(row):
-            if e._terms:
-                if e.vars != full:
-                    raise VariableSetMismatch(f"{e.vars} vs {full}")
-                cells[j] = e
-        sparse.append(cells)
-    steps = _unit_steps(sparse, full)
+    rows = [dict(row) for row in rows]
+    steps = _unit_steps(rows, full) if n > EXPAND_ROWS else (1, ({0: 1}, 0), list(range(n)), list(range(n)))
     if steps is None:
         return ring.zero()
-    sign, unit, live_rows, live_cols = steps
-    if sign < 0:
-        unit = -unit
+    sign, (unit, unit_bound), live_rows, live_cols = steps
+    unit = {k: sign * c for k, c in unit.items()}
     if not live_rows:
-        return ring.from_raw(unit)
-    rest = [sparse[i] for i in live_rows]
-    first = rest[0]
-    for j, e in first.items():
-        first[j] = e * unit
+        return ring.from_raw(_poly(full, unit, unit_bound))
+    rest = [rows[i] for i in live_rows]
+    rest[0] = {j: _cell(len(full), _addmul({}, unit, t), unit_bound + b) for j, (t, b) in rest[0].items()}
     if len(rest) <= EXPAND_ROWS:
-        return ring.from_raw(_expanded_det(rest, live_cols, full))
+        return ring.from_raw(_poly(full, *_expanded_det(rest, live_cols, len(full))))
     place = {j: k for k, j in enumerate(live_cols)}
-    rest = [[(place[j], ring.from_raw(e).parts) for j, e in row.items()] for row in rest]
-    images = tuple(
+    rest = [[(place[j], ring.from_raw(_poly(full, *e)).parts) for j, e in row.items()] for row in rest]
+    return QElement(ring, tuple(
         _bareiss_det([{j: parts[c] for j, parts in row if parts[c]._terms} for row in rest], ring.vars)
         for c in range(4)
-    )
-    return QElement(ring, images)
+    ))
 
 
 EXPAND_ROWS = 3
@@ -849,58 +869,62 @@ expanded against per image: 3 rows 2.5 [1.3] against 3.6 [2.6] ms, 4 rows
 workload leaves such a rest."""
 
 
-def _expanded_det(rows, cols, vars):
-    """Determinant over the free ring of the sparse ``rows`` restricted to ``cols``.
+def _expanded_det(rows, cols, nvars):
+    """(terms, bound) of the determinant over the free ring on nvars
+    variables of the packed sparse ``rows`` restricted to ``cols``.
 
     Expands along the first row: an entry times the minor of the other rows
     without its column, signs alternating along ``cols``.  Each product is
     one ``_addmul`` into the running sum, with no division, and a minor of
-    two rows or more goes through ``_poly``, so both factors of a product
-    keep their exponents below EXPONENT_LIMIT and its keys stay inside
-    their fields.  The bound of the sum is the largest of its products'
-    bounds.  Costs grow as the factorial of the
+    two rows or more has its bound checked as a cell's is (``_cell``), so
+    both factors of a product keep their exponents below EXPONENT_LIMIT
+    and its keys stay inside their fields.  The bound of the sum is the
+    largest of its products' bounds.  Costs grow as the factorial of the
     row count, so ``det`` calls it on at most EXPAND_ROWS rows.
     """
     first = rows[0]
     if len(rows) == 1:
-        e = first.get(cols[0])
-        return LaurentPoly.zero(vars) if e is None else e
+        return first.get(cols[0], ({}, 0))
     terms, bound = {}, 0
     for k, j in enumerate(cols):
         e = first.get(j)
         if e is None:
             continue
-        minor = _expanded_det(rows[1:], cols[:k] + cols[k + 1 :], vars)
-        if minor._terms:
-            terms = _addmul(terms, e._terms, minor._terms, -1 if k % 2 else 1)
-            bound = max(bound, e._bound + minor._bound)
-    return _poly(vars, terms, bound)
+        minor, minor_bound = _expanded_det(rows[1:], cols[:k] + cols[k + 1 :], nvars)
+        if minor:
+            terms = _addmul(terms, e[0], minor, -1 if k % 2 else 1)
+            bound = max(bound, e[1] + minor_bound)
+    return _cell(nvars, terms, bound)
 
 
 def _unit_steps(rows, vars):
-    """Gaussian steps on unit pivots of a square sparse matrix over ``vars``.
+    """Gaussian steps on unit pivots of a square packed sparse matrix over ``vars``.
 
-    ``rows`` is a square matrix as sparse rows {column: nonzero entry}, and
-    is changed in place.  Each step takes, among the live rows and columns
+    ``rows`` is a square matrix as packed sparse rows {column: (terms,
+    bound)}, as ``det`` takes them, and is changed in place; the term dicts
+    of its cells are not.  Each step takes, among the live rows and columns
     (those no step has taken yet), a signed monomial whose q exponent is 0:
     a unit of the free Laurent ring and of every image, whose inverse is a
     monomial.  Every crossing row of the invariant matrices holds one (-1
-    on an under-arc).  The unit of lowest Markowitz (1957) cost
-    (r - 1)*(c - 1) is taken, r the nonzero count of its row and c that of
-    its column over live rows, ties going to the lowest (row, column).  The
-    pivot row is multiplied by the pivot's inverse, a key shift, and a
-    times it is subtracted from every live row holding a in the pivot
-    column, with no division and no growth but what the products bring.
-    Each update f - a*e is one ``_addmul`` into a copy of f's terms, with
-    the bound f - a*e has, max(f's, a's + e's).  The steps stop when no
-    live entry is a unit.
+    on an under-arc).  A cell is a unit when its dict has one term, of
+    coefficient +-1 and q field 0; that is read off each cell once, when
+    it is made, and each row keeps the set of its unit columns.  The unit
+    of lowest Markowitz (1957) cost (r - 1)*(c - 1) is taken, r the cell
+    count of its row and c that of its column over live rows, kept as ints,
+    ties going to the lowest (row, column).  The pivot row is multiplied by
+    the pivot's inverse, a key shift, and a times it is subtracted from
+    every live row holding a in the pivot column, with no division and no
+    growth but what the products bring.  Each update f - a*e is one
+    ``_addmul`` into a copy of f's terms, with the bound f - a*e has,
+    max(f's, a's + e's).  The steps stop when no live cell is a unit.
 
     The product of the pivots is a signed monomial: it is kept as one packed
     key, the sum of the pivots' keys, a sign and a bound, the sum of the
-    pivots' bounds, replaced by the exact one, read off the key, once it
-    reaches EXPONENT_LIMIT.  Each entry of a pivot row, divided by the pivot
-    c*x^k (c = +-1), is its keys shifted by -k and its coefficients times c,
-    with the bound of that product, through ``_poly``.
+    pivots' bounds.  Each cell of a pivot row, divided by the pivot c*x^k
+    (c = +-1), is its keys shifted by -k and its coefficients times c, with
+    the bound of that product.  A bound that reaches EXPONENT_LIMIT, of a
+    cell or of the product, is replaced by the exact one, read off the keys
+    (``_cell``), which raises ExponentOverflow if that reaches it.
 
     Moving the pivot to the first live row and column is a permutation of
     sign (-1)^(r+c), r and c the pivot's places among the live rows and
@@ -909,28 +933,25 @@ def _unit_steps(rows, vars):
     sign * unit * (the determinant of the live rows and columns left).
 
     Returns (sign, unit, live rows, live columns), unit the product of the
-    pivots as a ``LaurentPoly`` and the live lists in increasing order, or
-    None when a live row empties, which makes the determinant zero.
+    pivots as a packed cell ({key: +-1}, bound) and the live lists in
+    increasing order, or None when a live row empties, which makes the
+    determinant zero.
     """
-    n = len(rows)
-    shifts, _, top = _layout(len(vars))
+    n, nvars = len(rows), len(vars)
+    shifts, _, top = _layout(nvars)
     q_shift = shifts[vars.index("q")]
-
-    def is_unit(e):
-        """Whether e is a signed monomial free of q."""
-        if len(e._terms) != 1:
-            return False
-        ((k, c),) = e._terms.items()
-        return abs(c) == 1 and ((k + top) >> q_shift) & _MASK == _HALF
-
-    cols = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
+    # each column's cell count over live rows, and each row's unit columns; a
+    # step changes a row only in the pivot column and the pivot row's
+    # columns, so only those are tested again
+    counts, units = [0] * n, [set() for _ in rows]
+    for row, row_units in zip(rows, units):
+        for j, (terms, _) in row.items():
+            counts[j] += 1
+            if len(terms) == 1:
+                ((k, c),) = terms.items()
+                if (c == 1 or c == -1) and ((k + top) >> q_shift) & _MASK == _HALF:
+                    row_units.add(j)
     live_rows, live_cols = list(range(n)), list(range(n))
-    # each row's unit columns; a step changes a row only in the pivot column
-    # and the pivot row's columns, so only those are tested again
-    units = [{j for j, e in row.items() if is_unit(e)} for row in rows]
     # the product of the pivots, a signed monomial: its key, sign and bound
     unit_key, unit_sign, unit_bound, sign = 0, 1, 0, 1
     while True:
@@ -938,7 +959,7 @@ def _unit_steps(rows, vars):
         for i in live_rows:
             r = len(rows[i]) - 1
             for j in units[i]:
-                cost = r * (len(cols[j]) - 1)
+                cost = r * (counts[j] - 1)
                 # the least (cost, row, column): rows come in increasing
                 # order, a row's unit columns in no fixed order
                 if cost < best_cost or cost == best_cost and best[0] == i and j < best[1]:
@@ -946,45 +967,44 @@ def _unit_steps(rows, vars):
             if best_cost == 0:
                 break  # no later row beats a zero cost
         if best is None:
-            return sign, _poly(vars, {unit_key: unit_sign}, unit_bound), live_rows, live_cols
+            return sign, ({unit_key: unit_sign}, unit_bound), live_rows, live_cols
         pi, pj = best
-        if (live_rows.index(pi) + live_cols.index(pj)) % 2:
-            sign = -sign
+        sign *= (-1) ** (live_rows.index(pi) + live_cols.index(pj))
         live_rows.remove(pi)
         live_cols.remove(pj)
         prow = rows[pi]
         for j in prow:
-            cols[j].discard(pi)
-        pivot = prow.pop(pj)
-        ((uk, uc),) = pivot._terms.items()
-        pb = pivot._bound
-        unit_key, unit_sign, unit_bound = unit_key + uk, unit_sign * uc, unit_bound + pb
-        if unit_bound >= EXPONENT_LIMIT:
-            unit_bound = _exact_bound(len(vars), (unit_key,))
+            counts[j] -= 1
+        pivot, pb = prow.pop(pj)
+        ((uk, uc),) = pivot.items()
+        unit_key, unit_sign = unit_key + uk, unit_sign * uc
+        unit_bound = _cell(nvars, (unit_key,), unit_bound + pb)[1]
         # divided by the pivot uc * x^uk: a shift by -uk, times uc = 1/uc
-        prow = [(j, _poly(vars, {k - uk: uc * v for k, v in e._terms.items()}, e._bound + pb)) for j, e in prow.items()]
-        for i in sorted(cols[pj]):
+        scaled = [(j, *_cell(nvars, {k - uk: uc * v for k, v in t.items()}, b + pb)) for j, (t, b) in prow.items()]
+        for i in [i for i in live_rows if pj in rows[i]]:
             row, row_units = rows[i], units[i]
-            a = row.pop(pj)
+            at, ab = row.pop(pj)
             row_units.discard(pj)
-            at, ab = a._terms, a._bound
-            for j, e in prow:
+            for j, et, eb in scaled:
                 f = row.get(j)
                 if f is None:
-                    f = row[j] = _poly(vars, _addmul({}, at, e._terms, -1), ab + e._bound)
-                    cols[j].add(i)
+                    terms, bound = _addmul({}, at, et, -1), ab + eb
+                    counts[j] += 1
                 else:
-                    f = _poly(vars, _addmul(dict(f._terms), at, e._terms, -1), max(f._bound, ab + e._bound))
-                    if not f._terms:
+                    terms = _addmul(dict(f[0]), at, et, -1)
+                    if not terms:
                         del row[j]
-                        cols[j].discard(i)
+                        counts[j] -= 1
                         row_units.discard(j)
                         continue
-                    row[j] = f
-                if is_unit(f):
-                    row_units.add(j)
-                else:
-                    row_units.discard(j)
+                    bound = max(f[1], ab + eb)
+                row[j] = _cell(nvars, terms, bound)
+                if len(terms) == 1:
+                    ((k, c),) = terms.items()
+                    if (c == 1 or c == -1) and ((k + top) >> q_shift) & _MASK == _HALF:
+                        row_units.add(j)
+                        continue
+                row_units.discard(j)
             if not row:
                 return None
 

@@ -12,6 +12,12 @@ images.  q has no inverse in the quotient rings, so matrices whose only
 monomial entries are powers of q check that the free-ring steps never
 pivot on one.
 
+``rings.det`` takes packed sparse rows; the dense rows the tests build go
+through ``rings.packed_rows`` (the module's ``det``), and ``_unit_steps_of``
+unpacks what the unit steps leave for the oracles.  A matrix with an empty
+row or column is zero before any unit step, and a matrix of at most
+``rings.EXPAND_ROWS`` rows is expanded with none.
+
 Seeded matrices are built to leave the Bareiss steps a known rest: no unit
 entry (the whole matrix), a signed permutation of units and a triangle
 with unit diagonal (an empty rest), and a row emptied by the unit steps
@@ -35,7 +41,7 @@ from knotparity.diagram import parse_file
 from knotparity.matrix import build_M, build_Npp
 from knotparity.moves import random_diagram
 from knotparity.parity import ODD, hierarchy_types, parity_map
-from knotparity.rings import LaurentPoly, det, g_ring, rprime_ring
+from knotparity.rings import LaurentPoly, NonSquare, g_ring, rprime_ring
 
 from det_oracle import berkowitz_det, det_images_mod_p, images_mod_p, per_image_det, random_point
 from test_rings import full_rows, rand_matrix_elem
@@ -52,12 +58,35 @@ def _invariant_matrices(d):
 RINGS = (g_ring(1), g_ring(2), rprime_ring())
 
 
+def _packed(rows, ring):
+    """``rows`` as ``rings.det`` takes them: packed sparse rows as they are,
+    dense rows of polynomials over ``ring.full_vars`` through
+    ``rings.packed_rows``."""
+    if any(isinstance(row, dict) for row in rows):
+        return rows
+    return rings.packed_rows(rows, ring.full_vars)
+
+
+def det(rows, ring):
+    """``rings.det`` of packed rows, or of dense rows of polynomials."""
+    return rings.det(_packed(rows, ring), ring)
+
+
+def _dense(rows, ring):
+    """Dense rows of polynomials over ``ring.full_vars``, from packed rows or dense ones."""
+    if not any(isinstance(row, dict) for row in rows):
+        return rows
+    zero, n = _zero(ring), len(rows)
+    return [[rings._poly(ring.full_vars, *row[j]) if j in row else zero for j in range(n)] for row in rows]
+
+
 def _checked_det(rows, ring):
     """det(rows, ring), checked against Berkowitz and against the
     determinant taken image by image.  An entry is a polynomial over
-    ``ring.full_vars``, which the oracles see through ``from_raw``."""
+    ``ring.full_vars``, which the oracles see through ``from_raw``; the rows
+    are dense or packed."""
     value = det(rows, ring)
-    rows = [[ring.from_raw(e) for e in row] for row in rows]
+    rows = [[ring.from_raw(e) for e in row] for row in _dense(rows, ring)]
     assert value == berkowitz_det(rows, ring), [[e.render() for e in row] for row in rows]
     assert value == per_image_det(rows, ring)
     return value
@@ -113,13 +142,29 @@ def _non_unit_rows(rng, ring, count, n):
 
 
 def _unit_steps_of(entries, ring):
-    """``rings._unit_steps`` on the sparse rows of dense ``entries``, and those rows after it."""
-    sparse = [{j: e for j, e in enumerate(row) if e._terms} for row in entries]
-    return rings._unit_steps(sparse, ring.full_vars), sparse
+    """``rings._unit_steps`` on the packed rows of dense ``entries``, and those
+    rows after it, with the unit and every cell left as a ``LaurentPoly``."""
+    full = ring.full_vars
+    packed = rings.packed_rows(entries, full)
+    steps = rings._unit_steps(packed, full)
+    if steps is not None:
+        sign, unit, live_rows, live_cols = steps
+        steps = sign, rings._poly(full, *unit), live_rows, live_cols
+    return steps, [{j: rings._poly(full, *cell) for j, cell in row.items()} for row in packed]
 
 
-def _sizes_for(steps):
-    """The sizes ``bareiss_sizes`` lists for a matrix whose unit steps return ``steps``."""
+def _empty_line(entries):
+    """Whether dense ``entries`` have an empty row or column, which ``det``
+    finds zero before any unit step."""
+    return any(not any(e._terms for e in line) for line in (*entries, *zip(*entries)))
+
+
+def _sizes_for(entries, ring):
+    """The sizes ``bareiss_sizes`` lists for dense ``entries``: none when the
+    matrix has an empty row or column, or when its unit steps empty a row or
+    leave at most ``rings.EXPAND_ROWS`` rows, and else the rest's row count
+    for each image."""
+    steps = None if _empty_line(entries) else _unit_steps_of(entries, ring)[0]
     if steps is None or len(steps[2]) <= rings.EXPAND_ROWS:
         return []
     return [len(steps[2])] * 4
@@ -182,8 +227,9 @@ def test_det_without_unit_entries_is_the_bareiss_loop(bareiss_sizes):
         rows = _non_unit_rows(rng, ring, n, n)
         _checked_det(rows, ring)
         # no unit step: every image gets the whole matrix, unless it has at
-        # most three rows, which are expanded
-        assert bareiss_sizes(rows, ring) == ([n] * 4 if n >= 4 else [])
+        # most three rows, which are expanded, or an empty row or column,
+        # which makes it zero at once
+        assert bareiss_sizes(rows, ring) == ([n] * 4 if n >= 4 and not _empty_line(rows) else [])
 
 
 def test_det_of_signed_unit_permutations(bareiss_sizes):
@@ -237,6 +283,57 @@ def test_det_zero_when_unit_steps_empty_a_row(bareiss_sizes):
         assert bareiss_sizes(rows, ring) == []
 
 
+def test_det_zero_at_entry_for_an_empty_row_or_column(monkeypatch):
+    """A matrix with an empty row or column is zero, found before any unit
+    step: ``_unit_steps`` is never called on it.  Seeded unit-rich matrices
+    get a zero row or column put in; the invariant matrices of small seeded
+    diagrams have one now and then."""
+    calls = []
+    steps = rings._unit_steps
+
+    def spy(rows, vars):
+        calls.append(len(rows))
+        return steps(rows, vars)
+
+    monkeypatch.setattr(rings, "_unit_steps", spy)
+    rng = random.Random(86)
+    for trial in range(30):
+        ring = RINGS[trial % 3]
+        n = rng.randint(1, 6)
+        rows = [[_unit(rng, ring) if rng.random() < 0.6 else _non_unit(rng, ring) for _ in range(n)] for _ in range(n)]
+        k = rng.randrange(n)
+        if trial % 2:
+            rows[k] = [_zero(ring)] * n
+        else:
+            rows = [row[:k] + [_zero(ring)] + row[k + 1 :] for row in rows]
+        calls.clear()
+        assert _checked_det(rows, ring) == ring.zero()
+        assert calls == []
+    diagrams = [random_diagram(rng, rng.randint(1, 8), rng.randint(0, 2)) for _ in range(200)]
+    empty = 0
+    for d in diagrams:
+        for m, _, ring in _invariant_matrices(d):
+            calls.clear()
+            value = m.det()
+            if _empty_line(m.entries):
+                assert value == ring.zero() and calls == []
+                empty += 1
+            else:
+                # a matrix of at most EXPAND_ROWS rows is expanded at once
+                assert calls == ([len(m.entries)] if len(m.entries) > rings.EXPAND_ROWS else [])
+    assert empty > 0
+
+
+def test_det_rejects_a_column_outside_the_matrix():
+    """A packed cell whose column is not in range(n) makes the rows no square
+    matrix, and ``det`` raises NonSquare."""
+    for ring in RINGS:
+        one = ({0: 1}, 0)
+        for rows in ([{1: one}], [{0: one}, {0: one, 2: one}], [{-1: one}, {0: one}], [{}, {5: one}]):
+            with pytest.raises(NonSquare):
+                rings.det(rows, ring)
+
+
 def test_det_takes_no_unit_step_after_a_bareiss_step(bareiss_sizes):
     # no entry is a unit, but the first Bareiss step (pivot 2) turns row 1
     # into (1, 4, 0, 0): a unit step on that 1 would skip a division by 2
@@ -263,7 +360,8 @@ def _unit_free_entry(rng, ring):
 def test_expansion_matches_both_oracles_on_unit_free_matrices(bareiss_sizes):
     """A matrix with no unit entry is its own rest.  At one to three rows
     ``det`` expands it over the free ring and makes no Bareiss call; at four
-    or five it hands each image to ``_bareiss_det`` once, at full size.
+    or five it hands each image to ``_bareiss_det`` once, at full size,
+    unless it has an empty row or column, which makes it zero at once.
     Every value matches Berkowitz and the per-image oracle, and a repeated
     row gives zero."""
     rng = random.Random(2090)
@@ -280,7 +378,7 @@ def test_expansion_matches_both_oracles_on_unit_free_matrices(bareiss_sizes):
             matrices.append(repeated)
         _checked_det(rows, ring)
         for m in matrices:
-            assert bareiss_sizes(m, ring) == ([n] * 4 if n > rings.EXPAND_ROWS else [])
+            assert bareiss_sizes(m, ring) == ([n] * 4 if n > rings.EXPAND_ROWS and not _empty_line(m) else [])
 
 
 @pytest.mark.parametrize("excess", (0, 1))
@@ -342,7 +440,7 @@ def test_det_matches_the_bareiss_loop_on_large_diagrams(bareiss_sizes):
         for m, rows, ring in _invariant_matrices(d):
             assert m.det() == per_image_det(rows, ring)
             sizes = bareiss_sizes(m.entries, ring)
-            assert sizes == _sizes_for(_unit_steps_of(m.entries, ring)[0])
+            assert sizes == _sizes_for(m.entries, ring)
             longest = max([longest, *sizes])
     # some image gets a rest of four rows, so three Bareiss steps divide
     assert longest >= 4
@@ -371,8 +469,8 @@ def test_unit_fold_leaves_the_rest_bareiss_sees(bareiss_sizes, monkeypatch):
         for m, rows, ring in _invariant_matrices(d):
             steps, sparse = _unit_steps_of(m.entries, ring)
             sizes = bareiss_sizes(m.entries, ring)
-            assert sizes == _sizes_for(steps)
-            if steps is None:
+            assert sizes == _sizes_for(m.entries, ring)
+            if steps is None or _empty_line(m.entries):
                 continue
             _, _, live_rows, live_cols = steps
             place = {j: k for k, j in enumerate(live_cols)}

@@ -1,14 +1,16 @@
 """Differential tests of ``matrix._fill`` against ``fill_oracle.oracle_fill``.
 
 ``_fill`` adds the terms of each coefficient, their keys shifted by the
-label's packed key, into one term dict per cell; the oracle forms each
-contribution as a polynomial product and adds it into its cell.  Built
-either way, all three matrices (``build_M``, also with every crossing
-even, ``build_Npp`` and ``build_N_presentation``) must have equal entries
-and an equal bound in every cell, on the fixtures and on seeded random
-diagrams of genus 0-2 with side tokens.  On arc tables whose labels sit
-near EXPONENT_LIMIT, both must raise ExponentOverflow or both return equal
-cells.  Spies check that the builders form no polynomial product or sum
+label's packed key, into one term dict per cell, and returns the nonzero
+cells of each row as packed (terms, bound) pairs; the oracle forms each
+contribution as a polynomial product, adds it into its cell and returns
+the dense grid.  Built either way, all three matrices (``build_M``, also
+with every crossing even, ``build_Npp`` and ``build_N_presentation``) must
+agree cell for cell: each nonzero oracle cell is a packed cell with equal
+terms and an equal bound, and each zero one, cancelled sums included, is
+no cell; on the fixtures and on seeded random diagrams of genus 0-2 with
+side tokens.  On arc tables whose labels sit near EXPONENT_LIMIT, both must
+raise ExponentOverflow or both return equal cells.  Spies check that the builders form no polynomial product or sum
 through ``LaurentPoly``'s operators, and that the unit steps of ``det``
 form no product through them.
 """
@@ -49,8 +51,10 @@ def _matrices(d):
     yield build_N_presentation(d, types)
 
 
-def _bounds(m):
-    return [[e._bound for e in row] for row in m.entries]
+def _nonzero(grid):
+    """The oracle's dense grid as ``_fill`` returns cells: per row, the
+    nonzero entries' packed terms and bounds by column."""
+    return tuple({j: (e._terms, e._bound) for j, e in enumerate(row) if e._terms} for row in grid)
 
 
 def test_fill_matches_the_oracle_on_diagrams(monkeypatch):
@@ -61,10 +65,11 @@ def test_fill_matches_the_oracle_on_diagrams(monkeypatch):
             patch.setattr(matrix, "_fill", oracle_fill)
             expected = list(_matrices(d))
         for m, want in zip(built, expected):
+            # the oracle's matrix holds its dense grid where cells go
             assert (m.tag, m.row_keys, m.col_keys) == (want.tag, want.row_keys, want.col_keys)
-            assert m.entries == want.entries
-            assert _bounds(m) == _bounds(want)
-            cells = [e for row in want.entries for e in row]
+            assert m.cells == _nonzero(want.cells)
+            assert m.entries == want.cells
+            cells = [e for row in want.cells for e in row]
             cancelled += sum(not e._terms and e._bound > 0 for e in cells)
             shifted += sum(e._bound > 1 for e in cells)
     # the sweep reaches cells whose contributions cancel, and labels past +-1
@@ -127,11 +132,13 @@ def test_fill_matches_the_oracle_at_the_exponent_limit():
         # equal cells; a bound may differ where a cell's terms at the edge
         # cancel, since _fill reads the exact bound of the sum and the oracle
         # that of each product, so each is checked to be a bound below the limit
-        assert got == want
+        assert [{j: terms for j, (terms, _) in row.items()} for row in got] == [
+            {j: terms for j, (terms, _) in row.items()} for row in _nonzero(want)
+        ]
         for row in got:
-            for e in row:
-                reach = max((abs(x) for k in e.terms for x in k), default=0)
-                assert reach <= e._bound < LIMIT
+            for terms, bound in row.values():
+                reach = max((abs(x) for k in rings._poly(ring.full_vars, terms, bound).terms for x in k), default=0)
+                assert reach <= bound < LIMIT
                 outcomes["at the edge"] += reach == LIMIT - 1
     assert all(outcomes.values()), outcomes
 
@@ -161,8 +168,7 @@ def test_builders_and_unit_steps_form_no_operator_products(operator_calls):
             assert operator_calls == [], m.tag
             if m.ring is None:
                 continue
-            sparse = [{j: e for j, e in enumerate(row) if e._terms} for row in m.entries]
-            result = rings._unit_steps(sparse, m.ring.full_vars)
+            result = rings._unit_steps([dict(row) for row in m.cells], m.ring.full_vars)
             assert "__mul__" not in operator_calls, m.tag
             if result is not None:
                 steps += len(m.entries) - len(result[2])

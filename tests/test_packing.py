@@ -12,12 +12,16 @@ Each result must equal the oracle's, carry the bound the operation keeps
 and the exact largest exponent once that reaches the limit), and raise
 ExponentOverflow exactly when the oracle's exponents reach the limit.
 
-The unit steps keep the product of their pivots as one packed key and
-shift the pivot row's keys; ``det_oracle.oracle_unit_steps`` forms both
-with ``LaurentPoly`` products, as before.  On seeded matrices of units and
-non-units with exponents at the field edge, both must return the same
-product u, with the same bound, and leave the same entries with the same
-bounds, or both raise ExponentOverflow.
+The unit steps run on packed cells (terms, bound), keep the product of
+their pivots as one packed key and shift the pivot row's keys;
+``det_oracle.oracle_unit_steps`` runs on ``LaurentPoly`` entries and forms
+both with ``LaurentPoly`` products, as before.  ``_unit_steps`` below
+packs the rows for ``rings._unit_steps`` and unpacks what it leaves.  On
+seeded matrices of units and non-units with exponents at the field edge,
+and on updates that make a unit by cancellation or turn one into a
+non-unit, both must return the same product u, with the same bound, and
+leave the same entries with the same bounds, or both raise
+ExponentOverflow.
 """
 
 import random
@@ -178,6 +182,21 @@ def check_difference(a, b):
     _expect(lambda: a - b, expected, max(a._bound, b._bound))
 
 
+def _unit_steps(rows, vars):
+    """``rings._unit_steps`` in the form of ``oracle_unit_steps``: on sparse
+    rows of ``LaurentPoly``, packed for it and unpacked after it in place
+    (also when it raises), with the unit returned as a ``LaurentPoly``."""
+    packed = [{j: (e._terms, e._bound) for j, e in row.items()} for row in rows]
+    try:
+        result = rings._unit_steps(packed, vars)
+    finally:
+        rows[:] = [{j: rings._poly(vars, *cell) for j, cell in row.items()} for row in packed]
+    if result is not None:
+        sign, unit, live_rows, live_cols = result
+        result = sign, rings._poly(vars, *unit), live_rows, live_cols
+    return result
+
+
 def check_unit_step(u, e, a, f):
     """The one update of a unit step on [[u, e], [a, f]] is f - a*(e/u), and
     the product of the pivots is u, with u's bound."""
@@ -187,7 +206,7 @@ def check_unit_step(u, e, a, f):
     rows = [{0: u, 1: e}, {0: a} if f is None else {0: a, 1: f}]
     if _reach(scaled) >= LIMIT:
         with pytest.raises(ExponentOverflow):
-            rings._unit_steps(rows, VARS)
+            _unit_steps(rows, VARS)
         return
     scaled_bound = e._bound + u._bound if e._bound + u._bound < LIMIT else _reach(scaled)
     scaled = LaurentPoly(VARS, scaled)
@@ -195,11 +214,11 @@ def check_unit_step(u, e, a, f):
     if _is_unit(expected):
         return  # a second step would take it as its pivot
     if not expected:
-        assert rings._unit_steps(rows, VARS) is None  # the row emptied
+        assert _unit_steps(rows, VARS) is None  # the row emptied
         return
     nominal = max(0 if f is None else f._bound, a._bound + scaled_bound)
     steps = []
-    _expect(lambda: steps.append(rings._unit_steps(rows, VARS)) or rows[1][1], expected, nominal)
+    _expect(lambda: steps.append(_unit_steps(rows, VARS)) or rows[1][1], expected, nominal)
     if steps:
         _, unit, _, _ = steps[0]
         assert unit == u and unit._bound == u._bound
@@ -326,7 +345,7 @@ def test_unit_steps_match_the_oracle(exps):
     seen = set()
     for _ in range(300):
         rows = _edge_matrix(rng, exps)
-        got = _unit_steps_outcome(rings._unit_steps, rows)
+        got = _unit_steps_outcome(_unit_steps, rows)
         assert got == _unit_steps_outcome(oracle_unit_steps, rows)
         if got == "overflow" or got[0] is None:
             seen.add("overflow" if got == "overflow" else "emptied")
@@ -343,14 +362,40 @@ def test_unit_product_bound_at_the_limit():
     # the summed bound reaches the limit and the product's exponents do not:
     # the product is 1, with its exact bound 0
     rows = [{0: t(LIMIT - 1), 1: x}, {1: t(1 - LIMIT)}]
-    for steps in (rings._unit_steps, oracle_unit_steps):
+    for steps in (_unit_steps, oracle_unit_steps):
         sign, unit, live_rows, _ = steps([dict(row) for row in rows], VARS)
         assert (sign, unit, unit._bound, live_rows) == (1, LaurentPoly.const(VARS, 1), 0, [])
     # an exponent of the product reaches the limit
     rows = [{0: t(LIMIT // 2)}, {1: t(LIMIT // 2)}]
-    for steps in (rings._unit_steps, oracle_unit_steps):
+    for steps in (_unit_steps, oracle_unit_steps):
         with pytest.raises(ExponentOverflow):
             steps([dict(row) for row in rows], VARS)
+
+
+def test_unit_steps_track_units_made_and_lost_by_updates():
+    """A row update can make a unit by cancellation, which must become a
+    pivot candidate, and can turn a unit into a non-unit, which must stop
+    being one; both sides must agree with the oracle on such matrices."""
+    t = LaurentPoly.monomial(VARS, 1, t=1)
+    x = LaurentPoly.monomial(VARS, 1, x1=1)
+    q = LaurentPoly.monomial(VARS, 1, q=1)
+    one, two = LaurentPoly.const(VARS, 1), LaurentPoly.const(VARS, 2)
+    cases = [
+        # the first step, on (0, 0), leaves t*x + t^2 + 1 - t*(x + t) = 1 in
+        # row 1: the second step pivots on it, and row 2 is the rest
+        ([{0: one, 1: x + t}, {0: t, 1: t * x + t * t + one, 2: two}, {1: two, 2: one - t}], [2]),
+        # the same with the unit -x, left when t*x and t^2 cancel
+        ([{0: one, 1: x + t}, {0: t, 1: t * t + t * x - x, 2: two}, {1: q - x, 2: one - t}], [2]),
+        # the first step turns the unit 1 at (1, 1) into 1 - t, so no second
+        # step is taken and rows 1 and 2 are the rest
+        ([{0: one, 1: t}, {0: one, 1: one, 2: two}, {1: two, 2: one - t}], [1, 2]),
+        # the unit -x at (1, 1) becomes t*x - x: units left only in row 2
+        ([{0: one, 1: -t * x}, {0: one, 1: -x, 2: two}, {1: two, 2: -one}], [1]),
+    ]
+    for rows, rest in cases:
+        got = _unit_steps_outcome(_unit_steps, rows)
+        assert got == _unit_steps_outcome(oracle_unit_steps, rows)
+        assert got[0][3] == rest
 
 
 def _kinks(count):

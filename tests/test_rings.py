@@ -15,6 +15,7 @@ from knotparity.rings import (
     VariableSetMismatch,
     det,
     g_ring,
+    packed_rows,
     rprime_ring,
 )
 from det_oracle import cofactor_det
@@ -64,8 +65,10 @@ def rand_matrix_elem(rng, ring):
 
 def full_rows(rows):
     """A matrix of quotient-ring elements as ``det`` takes it: each entry
-    embedded in the free ring by ``to_full_poly``."""
-    return [[e.to_full_poly() for e in row] for row in rows]
+    embedded in the free ring by ``to_full_poly``, and the dense rows packed
+    by ``packed_rows``."""
+    dense = [[e.to_full_poly() for e in row] for row in rows]
+    return packed_rows(dense, next((e.vars for row in dense for e in row), None))
 
 
 # --- plain polynomials -------------------------------------------------------
@@ -499,6 +502,24 @@ def test_det_row_swap_and_repeated_row():
 def test_det_rejects_non_square():
     with pytest.raises(NonSquare):
         det(full_rows([[G.element(), G.zero()]]), G)
+
+
+def test_packed_rows_rejects_what_det_took_densely():
+    """``packed_rows`` raises NonSquare for a row whose length is not the row
+    count and VariableSetMismatch for a nonzero entry over other variables; a
+    zero entry's variables are not read, and each nonzero entry becomes its
+    packed terms and bound."""
+    full = G.full_vars
+    one, zero = LaurentPoly.const(full, 1), LaurentPoly.zero(full)
+    with pytest.raises(NonSquare):
+        packed_rows([[one, zero]], full)
+    with pytest.raises(NonSquare):
+        packed_rows([[one, zero], [one]], full)
+    other = LaurentPoly.const(RP.full_vars, 1)
+    with pytest.raises(VariableSetMismatch):
+        packed_rows([[one, other], [zero, one]], full)
+    t = LaurentPoly.monomial(full, 1, t=3)
+    assert packed_rows([[t, LaurentPoly.zero(RP.full_vars)], [zero, one]], full) == [{0: (t._terms, 3)}, {1: ({0: 1}, 0)}]
 
 
 def test_render_is_deterministic():
