@@ -23,10 +23,11 @@ Laurent polynomial whose degrees are far below P, so a wrong one agrees at
 a random point with negligible probability.
 
 ``oracle_unit_steps`` is ``rings._unit_steps`` as it was before the product
-of the unit pivots became one packed key: it multiplies that product by
-each pivot, and each entry of the pivot row by the pivot's inverse, with
-``LaurentPoly.__mul__``, so each keeps the bound the general product gives
-it.  Pivot rule and row updates are the same as in ``rings``.
+of the unit pivots became one packed key and the cells packed (terms,
+bound) pairs: it works on ``LaurentPoly`` entries and multiplies that
+product by each pivot, and each entry of the pivot row by the pivot's
+inverse, with ``LaurentPoly.__mul__``, so each keeps the bound the general
+product gives it.  Pivot rule and row updates are the same as in ``rings``.
 """
 
 from knotparity.rings import _HALF, _MASK, LaurentPoly, NonSquare, QElement, _addmul, _layout, _poly
@@ -226,7 +227,8 @@ def images_mod_p(value, point):
 
 def oracle_unit_steps(rows, vars):
     """(sign, unit, live rows, live columns) or None, as ``rings._unit_steps``
-    returns them, with ``rows`` changed in place the same way."""
+    returns them, with ``rows`` changed in place the same way; the rows and
+    the unit are ``LaurentPoly`` values where ``rings`` keeps packed cells."""
     n = len(rows)
     shifts, _, top = _layout(len(vars))
     q_shift = shifts[vars.index("q")]

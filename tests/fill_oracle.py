@@ -6,7 +6,8 @@ times the label monomial through ``LaurentPoly.__mul__``, and added into its
 cell through ``LaurentPoly.__add__``; so every cell's bound is the one the
 general product and sum give it.  The arguments are those of
 ``matrix._fill``, so a test can put it in the module's place and build any
-of the three matrices through it.
+of the three matrices through it; the dense grid it returns then stands
+where the matrix keeps its packed cells.
 """
 
 from knotparity.rings import LaurentPoly
