@@ -131,12 +131,13 @@ class InvariantMatrix:
 
 @functools.lru_cache(maxsize=None)
 def _role_table(vars):
-    """(even_like, sign > 0) -> {role: coefficient over ``vars``}, by the module docstring's rules.
+    """(even_like, sign > 0) -> {role: coefficient over ``vars``}, by the module docstring's rules;
+    "vertex" -> {"out": -1, "in": 1}, the subdivision vertices' roles.
 
     It depends on ``vars`` alone, so it is built once per variable set; the
     callers only read it."""
     one, t = LaurentPoly.const(vars, 1), LaurentPoly.monomial(vars, t=1)
-    table = {}
+    table = {"vertex": {"out": -one, "in": one}}
     for even_like, in_pos, over in (
         (True, t, one - t),
         (False, LaurentPoly.monomial(vars, p=1), LaurentPoly.monomial(vars, q=1)),
@@ -146,21 +147,22 @@ def _role_table(vars):
     return table
 
 
-def _fill(vars, extras, table, rows, cols, rule):
+def _fill(vars, table, rows, cols, rule):
     """The nonzero cells over ``rows`` x ``cols`` filled from the arcs of ``table``.
 
     Arc j's column is keyed (origin_kind, origin).  Each incidence of the arc
     adds, for every (row key, coefficient) pair of ``rule(inc)``, coefficient
-    times its label monomial at that row; the monomial is ``extras`` raised
-    to the label.  The extras are the last variables of ``vars``, so the
-    label's packed key is the key of that monomial, and each product is a
-    key shift: every term of the coefficient is added, its key shifted by
-    the label's, into one packed term dict per cell.  A cell's bound is the
-    largest over its contributions of the coefficient's bound plus the
-    label's largest absolute exponent, as the bound of a sum of products,
-    replaced by the exact one once it reaches EXPONENT_LIMIT.  A cell's
-    first contribution is a key shift into a new dict; later ones are added
-    into it by ``rings._addmul``.  Returns, per row, {column index: (terms,
+    times its label monomial at that row; the monomial is the last
+    ``len(label)`` variables of ``vars`` (the ring's extras) raised to the
+    label, so the label's packed key is the key of that monomial, and each
+    product is a key shift: every term of the coefficient is added, its key
+    shifted by the label's, into one packed term dict per cell.  A label's
+    exponents must lie below EXPONENT_LIMIT (``rings._within``).  A cell's
+    bound is the largest over its contributions of the coefficient's bound
+    plus the label's largest absolute exponent, as the bound of a sum of
+    products, replaced by the exact one once it reaches EXPONENT_LIMIT.  A
+    cell's first contribution is a key shift into a new dict; later ones
+    are added into it by ``rings._addmul``.  Returns, per row, {column index: (terms,
     bound)}: the packed sparse rows that ``rings.det`` takes, with cells
     whose contributions cancel dropped.
     """
@@ -173,9 +175,7 @@ def _fill(vars, extras, table, rows, cols, rule):
         for inc in arc.incidences:
             label = labels.get(inc.label)
             if label is None:
-                reach = max(map(abs, inc.label), default=0)
-                if reach >= rings.EXPONENT_LIMIT:
-                    raise rings.ExponentOverflow(f"exponent {reach} is past the limit {rings.EXPONENT_LIMIT - 1}")
+                reach = rings._within(max(map(abs, inc.label), default=0))
                 label = labels[inc.label] = rings._pack(inc.label), reach
             shift, reach = label
             for key, coef in rule(inc):
@@ -206,16 +206,14 @@ def build_M(d, par):
         + [("vertex", v) for v in sorted(d.vertex_ids)]
     )
     roles = _role_table(ring.full_vars)
-    one = LaurentPoly.const(ring.full_vars, 1)
-    vertex_roles = {"out": -one, "in": one}
 
     def rule(inc):
         site = inc.site_kind, inc.site
         if inc.site_kind == "vertex":
-            return [(site, vertex_roles[inc.role])]
+            return [(site, roles["vertex"][inc.role])]
         return [(site, roles[par[inc.site] == EVEN, d.sign_of(inc.site) > 0][inc.role])]
 
-    cells = _fill(ring.full_vars, ring.extras, arcs(d), keys, keys, rule)
+    cells = _fill(ring.full_vars, arcs(d), keys, keys, rule)
     return InvariantMatrix("G", ring, cells, keys, keys)
 
 
@@ -234,7 +232,7 @@ def build_Npp(d, types):
     def rule(inc):
         return [(inc.site, roles[types[inc.site] == 2, d.sign_of(inc.site) > 0][inc.role])]
 
-    cells = _fill(ring.full_vars, ring.extras, table, keep, [("crossing", c) for c in keep], rule)
+    cells = _fill(ring.full_vars, table, keep, [("crossing", c) for c in keep], rule)
     return InvariantMatrix("Rprime", ring, cells, keep, keep)
 
 
@@ -289,7 +287,7 @@ def build_N_presentation(d, types):
         for kind in (("rel",) if types[c] else ("rel-under", "rel-over"))
     )
     roles = _role_table(RAW_VARS)
-    minus = LaurentPoly.const(RAW_VARS, -1)
+    minus = roles["vertex"]["out"]
 
     def rule(inc):
         c, sign = inc.site, d.sign_of(inc.site)
@@ -302,4 +300,4 @@ def build_N_presentation(d, types):
             return [(("rel-over", c), over_in)]
         return [(("rel-under", c), under_in), (("rel-over", c), over_mix)]
 
-    return InvariantMatrix("Rraw", None, _fill(RAW_VARS, (), table, rows, gens, rule), rows, gens)
+    return InvariantMatrix("Rraw", None, _fill(RAW_VARS, table, rows, gens, rule), rows, gens)

@@ -48,9 +48,9 @@ Q*m + R with deg_p(R) <= 1, and the class of A modulo (1-t)*m is the pair
     A_can = (Q at t=1)*m + R.
 
 B, R = r0 + r1*p and Q at t=1 come back from the images by dividing by
-2*(t-1) and by (p-1)^2 (see ``QElement.canonical_pair``).  Division by a
-linear factor v - 1 is a running sum along v (``LaurentPoly.div_linear``),
-which raises on an inexact input and never rounds.
+2*(t-1) and by (p-1)^2 (see ``QElement.canonical_pair``), with
+``LaurentPoly.exact_div``, the one exact division of the package, which
+raises on an inexact input and never rounds.
 
 The quotient rings have zero divisors, but the free Laurent ring and each
 image lie over Z, and are integral domains.  A determinant (see ``det``)
@@ -120,13 +120,13 @@ first row, at most N*E, by a minor of its other rows, at most 2*N*E, and
 each of its 2x2 minors multiplies two entries of S, each at most 2*N*E.
 So every intermediate stays within 4*N*E <= 4*T^2 = 1.6e9 < 2^32 =
 EXPONENT_LIMIT, which FIELD_BITS = 34 gives; ``ExponentOverflow`` stays
-the guard at run time.  No hot path of the package unpacks keys into tuples:
-the tuple-keyed ``terms`` view is for callers outside it, such as the
-tests.  ``from_raw``, ``subs_one``, ``div_linear`` and ``exponent_range``
-read each exponent they need off its field, ``exact_div`` reads each
-divisor's fields once, and ``graded`` reads every field of a key once to
-order the terms for ``render``.  ``to_full_poly`` inserts the q field into
-each key by integer arithmetic.
+the guard at run time, and ``_within`` is the one test that raises it.  No
+hot path of the package unpacks keys into tuples: the tuple-keyed ``terms``
+view is for callers outside it, such as the tests.  ``from_raw``,
+``subs_one`` and ``exponent_range`` read each exponent they need off its
+field, ``exact_div`` reads each divisor's fields once, and ``graded`` reads
+every field of a key once to order the terms for ``render``.
+``to_full_poly`` inserts the q field into each key by integer arithmetic.
 """
 
 from __future__ import annotations
@@ -185,20 +185,26 @@ def _unpack(key, n):
     return tuple([((u >> s) & _MASK) - _HALF for s in shifts])
 
 
+def _within(reach):
+    """``reach``, the largest absolute value of some exponents, if it lies
+    below EXPONENT_LIMIT; else raises ExponentOverflow.  Every exponent
+    guard of the package goes through it."""
+    if reach >= EXPONENT_LIMIT:
+        raise ExponentOverflow(f"exponent {reach} is past the limit {EXPONENT_LIMIT - 1}")
+    return reach
+
+
 def _cell(n, terms, bound):
     """(terms, bound) for packed terms over n variables whose exponents are at
     most ``bound`` in absolute value, the cell form ``det`` takes.
 
     A bound at or past EXPONENT_LIMIT is replaced by the exact one, the
-    largest absolute exponent read off the keys, which raises
-    ExponentOverflow if it reaches the limit too.  The keys come from
-    operands whose exponents lie below EXPONENT_LIMIT, so no key has carried
-    out of a field.
+    largest absolute exponent read off the keys, which must lie below the
+    limit too (``_within``).  The keys come from operands whose exponents
+    lie below EXPONENT_LIMIT, so no key has carried out of a field.
     """
     if bound >= EXPONENT_LIMIT:
-        bound = max((max(map(abs, _unpack(k, n))) for k in terms), default=0)
-        if bound >= EXPONENT_LIMIT:
-            raise ExponentOverflow(f"exponent {bound} is past the limit {EXPONENT_LIMIT - 1}")
+        bound = _within(max((max(map(abs, _unpack(k, n))) for k in terms), default=0))
     return terms, bound
 
 
@@ -269,8 +275,7 @@ class LaurentPoly:
             if c:
                 self._bound = max(self._bound, max(map(abs, vec), default=0))
                 self._terms[_pack(vec)] = c
-        if self._bound >= EXPONENT_LIMIT:
-            raise ExponentOverflow(f"exponent {self._bound} is past the limit {EXPONENT_LIMIT - 1}")
+        _within(self._bound)
 
     # -- constructors
 
@@ -419,46 +424,6 @@ class LaurentPoly:
                     rem[key] = old - q * v
         return _poly(self.vars, quot, e + reach)
 
-    def div_linear(self, var, scale=1):
-        """The quotient h with self == scale * (var - 1) * h; raises ValueError if none.
-
-        Along var, with the other exponents fixed, self's coefficients f_e
-        and h's coefficients h_e satisfy f_e = scale * (h_(e-1) - h_e), so
-        from the top down scale * h_(e-1) is the running sum of f over the
-        exponents from e up.  One pass per group of the other exponents
-        sums f in descending order of var's exponent; each partial sum,
-        divided by scale, is h's coefficient at every exponent from one
-        below the term just added down to the group's next exponent (a gap
-        in self is no gap in h).  The division is exact iff every group's
-        total is zero and every partial sum is a multiple of scale, and a
-        group's terms of h are written only once both hold for it.  h's
-        exponents lie in self's range in every variable, so self's bound
-        holds for it.
-        """
-        shifts, _, top = _layout(len(self.vars))
-        shift = shifts[self.vars.index(var)]
-        groups = {}
-        for k, c in self._terms.items():
-            e = (((k + top) >> shift) & _MASK) - _HALF
-            groups.setdefault(k - (e << shift), []).append((e, c))
-        quot = {}
-        for rest, group in groups.items():
-            group.sort(reverse=True)
-            run, runs = 0, []
-            for (e, c), (below, _) in zip(group, group[1:]):
-                run += c
-                if run:
-                    h, r = divmod(run, scale)
-                    if r:
-                        raise ValueError("division is not exact")
-                    runs.append((below, e, h))
-            if run + group[-1][1]:
-                raise ValueError("division is not exact")
-            for below, e, h in runs:
-                for x in range(below, e):
-                    quot[rest + (x << shift)] = h
-        return _poly(self.vars, quot, self._bound)
-
     # -- substitutions
 
     def subs_one(self, var):
@@ -600,8 +565,7 @@ class QuotientRing:
                 image = at_pt + (i << mid)
                 psi3[image] = psi3.get(image, 0) + c * to_psi3
                 psi4[image] = psi4.get(image, 0) + c * to_psi4
-        if bound >= EXPONENT_LIMIT:
-            raise ExponentOverflow(f"exponent {bound} is past the limit {EXPONENT_LIMIT - 1}")
+        _within(bound)
         vars = self.vars
         parts = (psi1, psi2, psi3, psi4)
         return QElement(self, tuple(_poly(vars, {k: v for k, v in d.items() if v}, bound) for d in parts))
@@ -612,9 +576,12 @@ class QuotientRing:
 
 @lru_cache(maxsize=None)
 def _p_and_m(vars):
-    """p and m = (p-1)*(p-t) over ``vars``, for ``canonical_pair``; callers only read them."""
+    """p, m = (p-1)*(p-t), 2*(t-1) and (p-1)^2 over ``vars``, for
+    ``canonical_pair``; callers only read them.  Built once per variable
+    set, so each divisor keeps what ``exact_div`` reads off it for every
+    later division by it."""
     one, t, p = (LaurentPoly.monomial(vars, 1, **e) for e in ({}, {"t": 1}, {"p": 1}))
-    return p, (p - one) * (p - t)
+    return p, (p - one) * (p - t), (t - one) + (t - one), (p - one) * (p - one)
 
 
 @lru_cache(maxsize=None)
@@ -709,20 +676,19 @@ class QElement:
             r1     = (psi3 + psi4 - 2*psi1) / (2*(t-1)),    r0 = psi1 - r1
             Q1     = (psi2 - r0(t=1) - r1(t=1)*p) / (p-1)^2
 
-        Each division is by a linear factor v - 1, a running sum along v
-        (``LaurentPoly.div_linear``); (p-1)^2 is two of them.  A division
-        that is not exact raises ValueError, which four images of one
-        element never cause.
+        Each division is ``LaurentPoly.exact_div`` by one of the divisors
+        ``_p_and_m`` keeps.  A division that is not exact raises ValueError,
+        which four images of one element never cause.
         """
         if self._pair is not None:
             return self._pair
         psi1, psi2, psi3, psi4 = self.parts
-        p, m = _p_and_m(self.ring.vars)
-        b = (psi4 - psi3).div_linear("t", 2)
-        r1 = (psi3 + psi4 - psi1 - psi1).div_linear("t", 2)
+        p, m, two_t_minus_one, p_minus_one_squared = _p_and_m(self.ring.vars)
+        b = (psi4 - psi3).exact_div(two_t_minus_one)
+        r1 = (psi3 + psi4 - psi1 - psi1).exact_div(two_t_minus_one)
         r0 = psi1 - r1
         rest = psi2 - r0.subs_one("t") - r1.subs_one("t") * p
-        q1 = rest.div_linear("p").div_linear("p")
+        q1 = rest.exact_div(p_minus_one_squared)
         self._pair = (q1 * m + r0 + r1 * p, b)
         return self._pair
 
@@ -783,32 +749,15 @@ RAW_VARS = ("t", "p", "q", "s", "r", "w")
 # Determinants
 
 
-def packed_rows(rows, vars):
-    """The packed sparse rows that ``det`` takes, from dense rows of ``LaurentPoly`` over ``vars``.
-
-    Row i becomes {j: (packed terms, bound)} over its nonzero entries.
-    Raises NonSquare when a row's length is not the row count, and
-    VariableSetMismatch when a nonzero entry is over other variables.
-    """
-    for row in rows:
-        if len(row) != len(rows):
-            raise NonSquare(f"{len(row)} entries in a row of a {len(rows)}-row matrix")
-        for e in row:
-            if e._terms and e.vars != vars:
-                raise VariableSetMismatch(f"{e.vars} vs {vars}")
-    return [{j: (e._terms, e._bound) for j, e in enumerate(row) if e._terms} for row in rows]
-
-
 def det(rows, ring):
     """Determinant of a square matrix over ``ring``.
 
     ``rows`` is sparse and packed: row i is {j: (terms, bound)} over its
     nonzero cells, terms a packed term dict over ``ring.full_vars`` and
     bound a bound on its exponents below EXPONENT_LIMIT, as
-    ``InvariantMatrix.cells`` holds them and ``packed_rows`` makes them from
-    dense rows.  Neither the rows nor their term dicts are changed.  A
-    column outside range(n) raises NonSquare; an empty row or column makes
-    the determinant zero before any step.
+    ``InvariantMatrix.cells`` holds them.  Neither the rows nor their term
+    dicts are changed.  A column outside range(n) raises NonSquare; an
+    empty row or column makes the determinant zero before any step.
 
     A signed monomial free of q is a unit of the free Laurent ring and of
     every image, so ``_unit_steps`` first eliminates such pivots over the

@@ -28,9 +28,22 @@ bound) pairs: it works on ``LaurentPoly`` entries and multiplies that
 product by each pivot, and each entry of the pivot row by the pivot's
 inverse, with ``LaurentPoly.__mul__``, so each keeps the bound the general
 product gives it.  Pivot rule and row updates are the same as in ``rings``.
+
+``packed_rows`` makes the packed sparse rows that ``rings.det`` takes from
+the dense rows of ``LaurentPoly`` the tests build.
 """
 
-from knotparity.rings import _HALF, _MASK, LaurentPoly, NonSquare, QElement, _addmul, _layout, _poly
+from knotparity.rings import (
+    _HALF,
+    _MASK,
+    LaurentPoly,
+    NonSquare,
+    QElement,
+    VariableSetMismatch,
+    _addmul,
+    _layout,
+    _poly,
+)
 
 P = (1 << 61) - 1
 
@@ -41,6 +54,22 @@ def _check_square(rows):
         if len(row) != n:
             raise NonSquare(f"{len(row)} entries in a row of a {n}-row matrix")
     return n
+
+
+def packed_rows(rows, vars):
+    """The packed sparse rows that ``rings.det`` takes, from dense rows of ``LaurentPoly`` over ``vars``.
+
+    Row i becomes {j: (packed terms, bound)} over its nonzero entries.
+    Raises NonSquare when a row's length is not the row count, and
+    VariableSetMismatch when a nonzero entry is over other variables.
+    """
+    for row in rows:
+        if len(row) != len(rows):
+            raise NonSquare(f"{len(row)} entries in a row of a {len(rows)}-row matrix")
+        for e in row:
+            if e._terms and e.vars != vars:
+                raise VariableSetMismatch(f"{e.vars} vs {vars}")
+    return [{j: (e._terms, e._bound) for j, e in enumerate(row) if e._terms} for row in rows]
 
 
 def berkowitz_det(rows, ring):

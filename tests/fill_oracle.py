@@ -5,25 +5,28 @@ Each incidence's contribution is formed as a polynomial, the coefficient
 times the label monomial through ``LaurentPoly.__mul__``, and added into its
 cell through ``LaurentPoly.__add__``; so every cell's bound is the one the
 general product and sum give it.  The arguments are those of
-``matrix._fill``, so a test can put it in the module's place and build any
-of the three matrices through it; the dense grid it returns then stands
-where the matrix keeps its packed cells.
+``matrix._fill``, and a label's entries are the exponents of the last
+``len(label)`` variables, the ring's extras, as there; so a test can put it
+in the module's place and build any of the three matrices through it; the
+dense grid it returns then stands where the matrix keeps its packed cells.
 """
 
 from knotparity.rings import LaurentPoly
 
 
-def oracle_fill(vars, extras, table, rows, cols, rule):
+def oracle_fill(vars, table, rows, cols, rule):
     ridx = {k: i for i, k in enumerate(rows)}
     cidx = {k: j for j, k in enumerate(cols)}
     zero = LaurentPoly.zero(vars)
     grid = [[zero] * len(cols) for _ in rows]
-    monomials = {(0,) * len(extras): None}  # the zero label scales by 1
+    monomials = {}
     for arc in table:
         j = cidx[arc.origin_kind, arc.origin]
         for inc in arc.incidences:
             if inc.label not in monomials:
-                monomials[inc.label] = LaurentPoly.monomial(vars, **dict(zip(extras, inc.label)))
+                extras = vars[len(vars) - len(inc.label) :]
+                mono = LaurentPoly.monomial(vars, **dict(zip(extras, inc.label)))
+                monomials[inc.label] = mono if any(inc.label) else None  # the zero label scales by 1
             mono = monomials[inc.label]
             for key, coef in rule(inc):
                 i = ridx[key]

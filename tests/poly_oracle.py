@@ -15,6 +15,11 @@ constructor and (for the ring map) polynomial sum and product, so they share
 no key arithmetic with the code they check.  ``oracle_render`` is the
 printed form as it was built before rendering read packed keys: it sorts the
 exponent tuples by total degree, then lexicographically.
+
+``oracle_div_linear`` is the division by scale*(v - 1) that the canonical
+pair of a quotient-ring element was rebuilt with before it divided with
+``LaurentPoly.exact_div``: a running sum along v, here over exponent
+tuples, and ``oracle_canonical_pair`` rebuilds the pair with it.
 """
 
 import heapq
@@ -120,6 +125,55 @@ def oracle_exact_div(x, divisor):
             else:
                 rem[key] = old - q * v
     return LaurentPoly(x.vars, quot)
+
+
+def oracle_div_linear(x, var, scale=1):
+    """The quotient h with x == scale * (var - 1) * h; raises ValueError if none.
+
+    Along var, with the other exponents fixed, x's coefficients f_e and h's
+    coefficients h_e satisfy f_e = scale * (h_(e-1) - h_e), so from the top
+    down scale * h_(e-1) is the running sum of f over the exponents from e
+    up.  One pass per group of the other exponents sums f in descending
+    order of var's exponent; each partial sum, divided by scale, is h's
+    coefficient at every exponent from one below the term just added down
+    to the group's next exponent (a gap in x is no gap in h).  The division
+    is exact iff every group's total is zero and every partial sum is a
+    multiple of scale.
+    """
+    i = x.vars.index(var)
+    groups = {}
+    for vec, c in x.terms.items():
+        groups.setdefault(vec[:i] + vec[i + 1 :], []).append((vec[i], c))
+    quot = {}
+    for rest, group in groups.items():
+        group.sort(reverse=True)
+        run = 0
+        for (e, c), (below, _) in zip(group, group[1:]):
+            run += c
+            if run:
+                h, r = divmod(run, scale)
+                if r:
+                    raise ValueError("division is not exact")
+                for at in range(below, e):
+                    quot[rest[:i] + (at,) + rest[i:]] = h
+        if run + group[-1][1]:
+            raise ValueError("division is not exact")
+    return LaurentPoly(x.vars, quot)
+
+
+def oracle_canonical_pair(elem):
+    """The canonical (A, B) of a quotient-ring element, rebuilt from its four
+    images as ``QElement.canonical_pair`` does, with every division by
+    2*(t-1) or by p-1 through ``oracle_div_linear``."""
+    psi1, psi2, psi3, psi4 = elem.parts
+    vars = elem.ring.vars
+    one, t, p = LaurentPoly.const(vars, 1), LaurentPoly.monomial(vars, t=1), LaurentPoly.monomial(vars, p=1)
+    b = oracle_div_linear(psi4 - psi3, "t", 2)
+    r1 = oracle_div_linear(psi3 + psi4 - psi1 - psi1, "t", 2)
+    r0 = psi1 - r1
+    rest = psi2 - r0.subs_one("t") - r1.subs_one("t") * p
+    q1 = oracle_div_linear(oracle_div_linear(rest, "p"), "p")
+    return q1 * (p - one) * (p - t) + r0 + r1 * p, b
 
 
 def _accumulate(terms, key, coef):

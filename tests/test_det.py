@@ -13,10 +13,10 @@ monomial entries are powers of q check that the free-ring steps never
 pivot on one.
 
 ``rings.det`` takes packed sparse rows; the dense rows the tests build go
-through ``rings.packed_rows`` (the module's ``det``), and ``_unit_steps_of``
-unpacks what the unit steps leave for the oracles.  A matrix with an empty
-row or column is zero before any unit step, and a matrix of at most
-``rings.EXPAND_ROWS`` rows is expanded with none.
+through ``det_oracle.packed_rows`` (the module's ``det``), and
+``_unit_steps_of`` unpacks what the unit steps leave for the oracles.  A
+matrix with an empty row or column is zero before any unit step, and a
+matrix of at most ``rings.EXPAND_ROWS`` rows is expanded with none.
 
 Seeded matrices are built to leave the Bareiss steps a known rest: no unit
 entry (the whole matrix), a signed permutation of units and a triangle
@@ -43,7 +43,7 @@ from knotparity.moves import random_diagram
 from knotparity.parity import ODD, hierarchy_types, parity_map
 from knotparity.rings import LaurentPoly, NonSquare, g_ring, rprime_ring
 
-from det_oracle import berkowitz_det, det_images_mod_p, images_mod_p, per_image_det, random_point
+from det_oracle import berkowitz_det, det_images_mod_p, images_mod_p, packed_rows, per_image_det, random_point
 from test_rings import full_rows, rand_matrix_elem
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -61,10 +61,10 @@ RINGS = (g_ring(1), g_ring(2), rprime_ring())
 def _packed(rows, ring):
     """``rows`` as ``rings.det`` takes them: packed sparse rows as they are,
     dense rows of polynomials over ``ring.full_vars`` through
-    ``rings.packed_rows``."""
+    ``det_oracle.packed_rows``."""
     if any(isinstance(row, dict) for row in rows):
         return rows
-    return rings.packed_rows(rows, ring.full_vars)
+    return packed_rows(rows, ring.full_vars)
 
 
 def det(rows, ring):
@@ -145,7 +145,7 @@ def _unit_steps_of(entries, ring):
     """``rings._unit_steps`` on the packed rows of dense ``entries``, and those
     rows after it, with the unit and every cell left as a ``LaurentPoly``."""
     full = ring.full_vars
-    packed = rings.packed_rows(entries, full)
+    packed = packed_rows(entries, full)
     steps = rings._unit_steps(packed, full)
     if steps is not None:
         sign, unit, live_rows, live_cols = steps

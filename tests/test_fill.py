@@ -119,7 +119,7 @@ def test_fill_matches_the_oracle_at_the_exponent_limit():
 
         def outcome(fill):
             try:
-                return fill(ring.full_vars, ring.extras, table, keys, keys, rule)
+                return fill(ring.full_vars, table, keys, keys, rule)
             except ExponentOverflow:
                 return None
 

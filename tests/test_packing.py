@@ -11,6 +11,9 @@ Each result must equal the oracle's, carry the bound the operation keeps
 (the sum of the operands' bounds for a product, their maximum for a sum,
 and the exact largest exponent once that reaches the limit), and raise
 ExponentOverflow exactly when the oracle's exponents reach the limit.
+Each of the four sites that guard the limit (``LaurentPoly``'s constructor,
+``rings._poly``, ``QuotientRing.from_raw`` and ``matrix._fill``'s labels)
+raises it with one message.
 
 The unit steps run on packed cells (terms, bound), keep the product of
 their pivots as one packed key and shift the pivot row's keys;
@@ -25,15 +28,16 @@ ExponentOverflow.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotparity import rings
+from knotparity import matrix, rings
 from knotparity.cli import run
-from knotparity.diagram import MAX_TOKENS, DiagramError, TooManyTokens, parse_file, parse_gauss
-from knotparity.rings import EXPONENT_LIMIT, ExponentOverflow, LaurentPoly
+from knotparity.diagram import MAX_TOKENS, Arc, DiagramError, Incidence, TooManyTokens, parse_file, parse_gauss
+from knotparity.rings import EXPONENT_LIMIT, ExponentOverflow, LaurentPoly, g_ring
 
 from det_oracle import oracle_unit_steps
 from poly_oracle import oracle_add, oracle_addmul_terms, oracle_exact_div, oracle_mul
@@ -134,6 +138,33 @@ def test_exponents_at_the_field_edge_raise():
         low.exact_div(LaurentPoly.monomial(vars, 1, t=LIMIT - 1))
     with pytest.raises(ExponentOverflow):
         (low * (t + x)).exact_div(LaurentPoly.monomial(vars, 1, t=LIMIT - 2) * (t + x))
+
+
+def _fill_label(e):
+    """``matrix._fill`` of one incidence, -1 at the out-role, whose label is x1^e."""
+    full, keys = g_ring(1).full_vars, (("crossing", 0),)
+    table = (Arc(0, "crossing", (Incidence(0, "crossing", "out", (e, 0)),)),)
+    minus = matrix._role_table(full)["vertex"]["out"]
+    return matrix._fill(full, table, keys, keys, lambda inc: [(keys[0], minus)])
+
+
+# each site, built with its largest exponent e; the from_raw site maps
+# t^(e-1)*p to t^e under psi3 and psi4, and the _poly site is handed a bound
+# at the limit, so it reads the exact one off the key
+GUARD_SITES = {
+    "LaurentPoly.__init__": lambda e: LaurentPoly(("t", "x1"), {(0, -e): 1}),
+    "rings._poly": lambda e: rings._poly(("t", "x1"), {rings._pack((e, 0)): 1}, LIMIT),
+    "QuotientRing.from_raw": lambda e: g_ring(1).from_raw(LaurentPoly.monomial(g_ring(1).full_vars, t=e - 1, p=1)),
+    "matrix._fill": _fill_label,
+}
+
+
+@pytest.mark.parametrize("site", GUARD_SITES)
+def test_every_exponent_guard_raises_one_message(site):
+    build = GUARD_SITES[site]
+    with pytest.raises(ExponentOverflow, match=f"^{re.escape(f'exponent {LIMIT} is past the limit {LIMIT - 1}')}$"):
+        build(LIMIT)
+    build(LIMIT - 1)
 
 
 # the variables of the kernel tests: the unit steps need q

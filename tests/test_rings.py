@@ -1,9 +1,13 @@
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotparity.diagram import parse_file
+from knotparity.matrix import build_M, build_Npp
+from knotparity.parity import hierarchy_types, parity_map
 from knotparity.rings import (
     EXPONENT_LIMIT,
     ExponentOverflow,
@@ -15,14 +19,14 @@ from knotparity.rings import (
     VariableSetMismatch,
     det,
     g_ring,
-    packed_rows,
     rprime_ring,
 )
-from det_oracle import cofactor_det
-from poly_oracle import oracle_from_raw, oracle_render
+from det_oracle import cofactor_det, packed_rows
+from poly_oracle import oracle_canonical_pair, oracle_div_linear, oracle_from_raw, oracle_render
 from rraw_oracle import ReducingRawRing, div_rs_minus_1, r_reduce
 
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 G = g_ring(1)
 RP = rprime_ring()
 RR = ReducingRawRing()
@@ -153,7 +157,7 @@ def test_div_linear_matches_exact_div():
         divisor = LaurentPoly.const(vars, scale) * (v - one)
         h = rand_gapped(rng, vars)
         f = divisor * h
-        assert f.div_linear(var, scale) == f.exact_div(divisor) == h
+        assert oracle_div_linear(f, var, scale) == f.exact_div(divisor) == h
         # a monomial never vanishes at var = 1, so f plus one is no multiple
         # of var - 1; (var - 1) times an odd coefficient is none of 2*(var - 1)
         non_multiples = [f + rand_gapped(rng, vars, 1)]
@@ -161,10 +165,12 @@ def test_div_linear_matches_exact_div():
             odd = LaurentPoly.monomial(vars, rng.choice((-3, -1, 1, 5)), **{var: rng.choice(GAPPED)})
             non_multiples.append(f + (v - one) * odd)
         for g in non_multiples:
-            for divide in (lambda g: g.div_linear(var, scale), lambda g: g.exact_div(divisor)):
+            for divide in (lambda g: oracle_div_linear(g, var, scale), lambda g: g.exact_div(divisor)):
                 with pytest.raises(ValueError, match="not exact"):
                     divide(g)
-    assert LaurentPoly.zero(("t", "p")).div_linear("p", 2).is_zero
+    zero = LaurentPoly.zero(("t", "p"))
+    twice_p_minus_one = LaurentPoly.monomial(zero.vars, 2, p=1) - LaurentPoly.const(zero.vars, 2)
+    assert oracle_div_linear(zero, "p", 2).is_zero and zero.exact_div(twice_p_minus_one).is_zero
 
 
 def test_canonical_pair_raises_on_images_of_no_element():
@@ -175,6 +181,29 @@ def test_canonical_pair_raises_on_images_of_no_element():
     for psi4 in (one, t_minus_one):  # a sum left over; an odd quotient
         with pytest.raises(ValueError, match="not exact"):
             QElement(RP, (zero, zero, zero, psi4)).canonical_pair()
+
+
+def test_canonical_pair_matches_the_oracle_division():
+    """``canonical_pair`` divides with ``exact_div``; the oracle rebuilds the
+    pair with the running-sum division it replaced.  Both must agree on
+    seeded elements of every ring of ``FROM_RAW_RINGS`` and on the fixtures'
+    determinants, and both must raise on images of no element."""
+    rng = random.Random(2719)
+    values = [rand_elem(rng, FROM_RAW_RINGS[i % len(FROM_RAW_RINGS)], 6) for i in range(240)]
+    for name in ("torus_pair.surf", "sample.gauss", "parity_pair.surf"):
+        for d in parse_file(FIXTURES / name)[0]:
+            values += [build_M(d, parity_map(d)).det(), build_Npp(d, hierarchy_types(d)).det()]
+    assert sum(not x.b.is_zero for x in values) > 100
+    for x in values:
+        assert QElement(x.ring, x.parts).canonical_pair() == oracle_canonical_pair(x)
+    vars = RP.vars
+    zero, one, p = LaurentPoly.zero(vars), LaurentPoly.const(vars, 1), LaurentPoly.monomial(vars, p=1)
+    t_minus_one = LaurentPoly.monomial(vars, t=1) - one
+    # psi4 - psi3 is no multiple of 2*(t-1), twice; psi2 is none of (p-1)^2
+    for parts in ((zero, zero, zero, one), (zero, zero, zero, t_minus_one), (zero, p, zero, zero)):
+        for pair in (QElement.canonical_pair, oracle_canonical_pair):
+            with pytest.raises(ValueError, match="not exact"):
+                pair(QElement(RP, parts))
 
 
 def test_render_matches_oracle_render():
